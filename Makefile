@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test race short bench-exec bench-obs bench-eval bench-eqsat bench-prune server-smoke fleet-smoke
+.PHONY: ci build vet fmt lint test race short bench-exec bench-obs bench-eval bench-eqsat bench-prune perfbench-test server-smoke fleet-smoke
 
 # gate runs one CI stage, echoing "ci: <name> ok" on success and
 # "ci: FAIL at gate <name>" (then exiting nonzero) on failure, so a
@@ -25,9 +25,10 @@ ci:
 	$(call gate,eqsat-smoke,$(GO) test -run TestEqSatSmoke -count=1 ./internal/eqsat/)
 	$(call gate,bench-prune,$(MAKE) -s bench-prune)
 	$(call gate,bench-eval,$(MAKE) -s bench-eval)
+	$(call gate,perfbench-test,$(MAKE) -s perfbench-test)
 	$(call gate,race,$(GO) test -race ./...)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz eqsat-smoke bench-prune bench-eval race fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz eqsat-smoke bench-prune bench-eval perfbench-test race fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -92,6 +93,14 @@ bench-eqsat:
 # which is why it doubles as a ci gate.
 bench-prune:
 	$(GO) run ./cmd/bench -exp prune -budget 2000000
+
+# Run the benchmark harness's own tests. cmd/perfbench is a module of
+# its own (it replaces stochsyn with the repo root), so the root
+# `go test ./...` does not reach it; its loop replica drives
+# mutate/plan/cost/prog exactly like search.Run and must stay
+# bit-identical to it.
+perfbench-test:
+	cd cmd/perfbench && $(GO) test .
 
 # Boot synthd on an ephemeral port, submit a small SyGuS job through
 # `synth -remote`, and assert the server returns a solution.

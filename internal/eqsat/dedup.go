@@ -64,7 +64,9 @@ func NewDedup(b Budget) *Dedup {
 // Visited records a cost-neutral accepted proposal and reports whether
 // its e-class was already visited at cost <= c (in which case the
 // caller should reject the move). Only one in sampleEvery calls
-// actually hashes; unsampled calls always report false.
+// actually hashes; unsampled calls always report false. p may be a
+// proposal under an edit journal: a sampled call hashes it as EndEdit
+// will leave it, without the nodes the edit's GC found dead.
 func (d *Dedup) Visited(p *prog.Program, c float64) bool {
 	if d == nil {
 		return false
@@ -78,7 +80,7 @@ func (d *Dedup) Visited(p *prog.Program, c float64) bool {
 	if d.stats.Checks+d.stats.Seeds >= int64(d.maxHashes) {
 		return false
 	}
-	h, st := EClassHash(p, d.budget)
+	h, st := EClassHash(p.Compacted(), d.budget)
 	d.stats.EqSat.Accumulate(st)
 	d.stats.Checks++
 	if prev, ok := d.plateau[h]; ok && prev <= c {

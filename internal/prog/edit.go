@@ -7,9 +7,9 @@ import mathbits "math/bits"
 // (BeginEdit) records, for every node the edit overwrites, the node's
 // original contents the first time it is touched (copy-on-write), plus
 // the original root and length. Rollback restores the pre-edit program
-// exactly; Commit-side consumers (prog.EvalState) additionally use the
-// journal's dirty mask and index mapping to know which value columns
-// survived the edit unchanged.
+// exactly; commit-side consumers (prog.EvalState, plan.State) use the
+// journal's dirty and dead masks to know which value columns survived
+// the edit unchanged and where they move when the edit ends.
 //
 // The journal replaces the search loop's previous double-buffered
 // proposal scheme (scratch.CopyFrom(cur) + mutate + swap): a move now
@@ -19,40 +19,47 @@ import mathbits "math/bits"
 // journaled apply/rollback sequence is bit-identical to the old
 // copy-and-discard sequence, which the oracle tables pin.
 //
-// Discipline (asserted in debug builds, documented here for editors):
+// Compaction is deferred to the end of a kept edit. Under a journal GC
+// renumbers nothing: it records the set of body nodes the edit left
+// unreachable from the root (Dead). Node indices therefore stay stable
+// for the whole edit, so the proposal is evaluated on the uncompacted
+// program (dead nodes are never dirty and never on the root's path,
+// and the engines skip them) and a rejected proposal is undone by
+// Rollback alone. EndEdit compacts: dead nodes are removed and the
+// survivors move down in order.
+//
+// Discipline (asserted, documented here for editors):
 //
 //   - All writes during an edit must go through the journaling
 //     mutators (SetOp, SetArg, SetRoot, AppendNode) or through GC.
-//   - At most one compacting GC per edit, and no content writes after
-//     it. Every mutate move satisfies this: moves write first and
-//     garbage-collect last. (Non-compacting GC calls — the common
-//     case — are unrestricted.)
+//   - No content writes after a GC that found dead nodes. Every mutate
+//     move satisfies this: moves write first and garbage-collect last.
+//   - Engines bound to the program Commit before EndEdit: Commit
+//     re-homes their columns by the dead mask, in the uncompacted
+//     numbering.
 
 // Journal records the undo and dirtiness information of one in-place
 // edit. The zero value is ready for use; a single Journal is reused
 // across iterations by the search loop (BeginEdit resets it in O(1)).
+// Its masks are over the edit's node indices, which nothing renumbers
+// before EndEdit.
 type Journal struct {
 	saved    [MaxNodes]Node
 	savedSet uint32 // bitmask over pre-edit indices with an entry in saved
 	oldLen   int
 	oldRoot  int32
 
-	// dirty is the bitmask, over the program's *current* node indices,
-	// of nodes whose own content the edit changed: content-written
-	// nodes and appended nodes. GC compaction remaps it. Nodes outside
-	// the mask are guaranteed to hold the same op, val, and (up to
-	// renumbering) argument indices as before the edit — but their
-	// *values* may still change when a transitive argument is dirty,
-	// so value consumers must close the mask over users
-	// (prog.EvalState.Begin does exactly that).
+	// dirty is the bitmask of nodes whose own content the edit changed:
+	// content-written nodes and appended nodes. Nodes outside the mask
+	// hold the same op, val, and argument indices as before the edit —
+	// but their *values* may still change when a transitive argument is
+	// dirty, so value consumers must close the mask over users
+	// (Program.UserClosure).
 	dirty uint32
 
-	// compacted records whether a GC compaction ran during the edit;
-	// srcIdx is then the current→pre-edit index map (-1 for nodes
-	// appended during the edit). When compacted is false the map is
-	// the identity on pre-edit indices.
-	compacted bool
-	srcIdx    [MaxNodes]int8
+	// dead is the set of body nodes the edit's GC found unreachable
+	// from the root; EndEdit removes them.
+	dead uint32
 
 	// savedOrder snapshots the program's topological-order cache at
 	// BeginEdit. Rollback restores the exact pre-edit program, for
@@ -78,7 +85,7 @@ func (p *Program) BeginEdit(j *Journal) {
 	}
 	j.savedSet = 0
 	j.dirty = 0
-	j.compacted = false
+	j.dead = 0
 	j.oldLen = len(p.Nodes)
 	j.oldRoot = p.Root
 	j.savedOrderOK = p.orderOK
@@ -90,42 +97,36 @@ func (p *Program) BeginEdit(j *Journal) {
 	p.jr = j
 }
 
-// EndEdit detaches the journal, keeping the edit's effects. The
-// journal's dirty mask and index map remain readable until the next
-// BeginEdit.
-func (p *Program) EndEdit() { p.jr = nil }
+// EndEdit detaches the journal, keeping the edit's effects, and
+// compacts away the nodes the edit's GC found dead. Engines bound to p
+// must Commit first. The journal's masks remain readable until the
+// next BeginEdit, in the uncompacted numbering.
+func (p *Program) EndEdit() {
+	j := p.jr
+	p.jr = nil
+	if j != nil && j.dead != 0 {
+		p.compact(uint64(j.dead))
+	}
+}
 
 // Journal returns the active edit journal, or nil outside an edit.
 func (p *Program) Journal() *Journal { return p.jr }
 
 // Mutated reports whether the edit changed anything: any node written
-// or appended, the root moved, or nodes removed. A move that returned
-// invalid leaves the program untouched and Mutated false.
+// or appended, or the root moved. A move that returned invalid leaves
+// the program untouched and Mutated false.
 func (j *Journal) Mutated(p *Program) bool {
-	return j.savedSet != 0 || j.dirty != 0 || j.compacted ||
+	return j.savedSet != 0 || j.dirty != 0 ||
 		len(p.Nodes) != j.oldLen || p.Root != j.oldRoot
 }
 
-// Dirty returns the bitmask, over current node indices, of nodes whose
-// values may differ from the pre-edit program.
+// Dirty returns the bitmask of nodes whose own content the edit
+// changed (written or appended).
 func (j *Journal) Dirty() uint32 { return j.dirty }
 
-// Compacted reports whether a GC compaction ran during the edit, i.e.
-// whether Src is a non-identity renumbering that commit-side column
-// consumers must re-home through.
-func (j *Journal) Compacted() bool { return j.compacted }
-
-// Src maps a current node index to its pre-edit index, or -1 for a
-// node appended during the edit.
-func (j *Journal) Src(i int) int {
-	if !j.compacted {
-		if i < j.oldLen {
-			return i
-		}
-		return -1
-	}
-	return int(j.srcIdx[i])
-}
+// Dead returns the bitmask of body nodes the edit's GC found
+// unreachable from the root; EndEdit removes them.
+func (j *Journal) Dead() uint32 { return j.dead }
 
 // Rollback restores the exact pre-edit program and detaches the
 // journal. The cached topological order is dropped only when the edit
@@ -140,18 +141,14 @@ func (p *Program) Rollback() {
 	if !j.Mutated(p) {
 		return
 	}
-	if j.compacted {
-		// The masks (if any) describe the compacted numbering, which
-		// the restore is about to undo; there is no cheap inverse.
-		p.usersOK = false
-	}
 	if p.usersOK {
 		// The masks describe the current (end-of-edit) program — the
-		// journaling mutators maintain them through every write — so
-		// they can be repaired instead of rebuilt: remove every edge the
-		// edit's surviving nodes own (appended nodes and overwritten
-		// nodes), restore the nodes, then re-add the restored edges.
-		// Untouched nodes' edges were never disturbed.
+		// journaling mutators maintain them through every write, and GC
+		// never renumbers under a journal — so they can be repaired
+		// instead of rebuilt: remove every edge the edit's surviving
+		// nodes own (appended nodes and overwritten nodes), restore the
+		// nodes, then re-add the restored edges. Untouched nodes' edges
+		// were never disturbed.
 		for i := j.oldLen; i < len(p.Nodes); i++ {
 			nd := &p.Nodes[i]
 			bit := uint32(1) << uint(i)
@@ -204,28 +201,20 @@ func (p *Program) Rollback() {
 	p.aritySumOK = j.savedAritySumOK
 }
 
-// save copy-on-writes node i (a pre-edit index) into the journal.
-func (j *Journal) save(p *Program, i int32) {
-	if i >= int32(j.oldLen) {
-		return // appended during this edit; truncation undoes it
+// noteWrite records a content write to node i: journal the original
+// the first time a pre-edit node is touched (truncation undoes
+// appended ones) and mark the node dirty. Must not be called after a
+// GC that found dead nodes (mutate moves write first, collect last).
+func (j *Journal) noteWrite(p *Program, i int32) {
+	if j.dead != 0 {
+		panic("prog: content write after GC in the same edit")
 	}
 	bit := uint32(1) << uint(i)
-	if j.savedSet&bit != 0 {
-		return
+	if i < int32(j.oldLen) && j.savedSet&bit == 0 {
+		j.savedSet |= bit
+		j.saved[i] = p.Nodes[i]
 	}
-	j.savedSet |= bit
-	j.saved[i] = p.Nodes[i]
-}
-
-// noteWrite records a content write to current index i: journal the
-// original and mark the node's value column dirty. Must not be called
-// after a compaction (mutate moves write first, collect last).
-func (j *Journal) noteWrite(p *Program, i int32) {
-	if j.compacted {
-		panic("prog: content write after GC compaction in the same edit")
-	}
-	j.save(p, i)
-	j.dirty |= 1 << uint(i)
+	j.dirty |= bit
 }
 
 // SetOp replaces node i's opcode. With an active journal the original
@@ -311,8 +300,8 @@ func (p *Program) SetRoot(v int32) { p.Root = v }
 func (p *Program) AppendNode(n Node) int32 {
 	i := int32(len(p.Nodes))
 	if p.jr != nil {
-		if p.jr.compacted {
-			panic("prog: append after GC compaction in the same edit")
+		if p.jr.dead != 0 {
+			panic("prog: append after GC in the same edit")
 		}
 		p.jr.dirty |= 1 << uint(i)
 	}
@@ -333,31 +322,37 @@ func (p *Program) AppendNode(n Node) int32 {
 	return i
 }
 
-// noteCompact records a GC compaction into the journal: remap maps
-// pre-compaction indices to post-compaction ones (-1 = removed), n is
-// the pre-compaction node count. Called by GC after it has journaled
-// the nodes it overwrote and before it rewrites argument indices.
-func (j *Journal) noteCompact(remap []int32, n int) {
-	if j.compacted {
-		panic("prog: second GC compaction in one edit")
+// peelDead returns the set of body nodes unreachable from the root,
+// found over the cached user masks instead of a reachability walk: a
+// non-root body node is dead once all of its users are, so the
+// worklist starts from the unread nodes and revisits the arguments of
+// every node it peels. In a DAG the peeled set is exactly the body's
+// complement of Reachable, and most moves leave no unread node, so the
+// common case is one scan of the masks.
+func (p *Program) peelDead() uint32 {
+	users := p.userMasks()
+	n := len(p.Nodes)
+	cand := (uint32(1)<<uint(n) - 1) &^ (uint32(1)<<uint(p.NumInputs) - 1) &^ (1 << uint(p.Root))
+	var work uint32
+	for m := cand; m != 0; m &= m - 1 {
+		if i := mathbits.TrailingZeros32(m); users[i] == 0 {
+			work |= 1 << uint(i)
+		}
 	}
-	var ns [MaxNodes]int8
-	var nd uint32
-	for i := 0; i < n; i++ {
-		w := remap[i]
-		if w < 0 {
+	var dead uint32
+	for work != 0 {
+		i := mathbits.TrailingZeros32(work)
+		bit := uint32(1) << uint(i)
+		work &^= bit
+		if dead&bit != 0 || users[i]&^dead != 0 {
 			continue
 		}
-		if i < j.oldLen {
-			ns[w] = int8(i)
-		} else {
-			ns[w] = -1
+		dead |= bit
+		nd := &p.Nodes[i]
+		for a := 0; a < nd.Op.Arity(); a++ {
+			work |= 1 << uint(nd.Args[a])
 		}
-		if j.dirty&(1<<uint(i)) != 0 {
-			nd |= 1 << uint(w)
-		}
+		work &= cand
 	}
-	j.srcIdx = ns
-	j.dirty = nd
-	j.compacted = true
+	return dead
 }

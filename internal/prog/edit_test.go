@@ -81,12 +81,12 @@ func TestJournalRollbackUnderMoves(t *testing.T) {
 }
 
 // TestJournalDirtyMaskSoundness pins the contract the evaluation
-// engine builds on: the journal's dirty mask names every node whose
-// own content an accepted move changed, so after closing the mask over
-// transitive users (exactly what prog.EvalState.Begin does), every
-// node outside the closure maps to a pre-edit source node (journal
-// Src) and computes exactly the value that source computed, on every
-// suite input.
+// engines build on: after a move, the journal's dirty mask closed over
+// transitive users, skipping the nodes GC found dead (exactly what
+// plan.State.Begin does), covers every node whose value can change.
+// Every other node keeps its index until EndEdit and computes exactly
+// what it computed before the edit, on every suite input. Dead nodes
+// are never dirty.
 func TestJournalDirtyMaskSoundness(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0xd127))
 	suite := testcase.Generate(func(in []uint64) uint64 { return in[0] * in[1] }, 2, 9, rng)
@@ -101,35 +101,95 @@ func TestJournalDirtyMaskSoundness(t *testing.T) {
 			p.Rollback()
 			continue
 		}
-		p.EndEdit()
-		// Close the dirty mask over users, in topological order.
-		dirty := j.Dirty()
-		for _, i := range p.TopoOrder() {
-			nd := &p.Nodes[i]
-			for a := 0; a < nd.Op.Arity(); a++ {
-				if dirty&(1<<uint(nd.Args[a])) != 0 {
-					dirty |= 1 << uint(i)
-					break
-				}
-			}
+		dead := j.Dead()
+		if j.Dirty()&dead != 0 {
+			t.Fatalf("iter %d: dirty nodes %#x found dead %#x", iter, j.Dirty(), dead)
 		}
+		dirty := p.UserClosure(j.Dirty(), dead)
 		for _, tc := range suite.Cases {
 			p.Eval(tc.Inputs, valsNew[:])
 			snap.Eval(tc.Inputs, valsOld[:])
-			for i := 0; i < p.Len(); i++ {
-				if dirty&(1<<uint(i)) != 0 {
+			for i := 0; i < snap.Len(); i++ {
+				if (dirty|dead)&(1<<uint(i)) != 0 {
 					continue
 				}
-				s := j.Src(i)
-				if s < 0 {
-					t.Fatalf("iter %d: clean node %d has no pre-edit source", iter, i)
-				}
-				if valsNew[i] != valsOld[s] {
-					t.Fatalf("iter %d inputs %v: clean node %d (pre-edit %d) changed value: %#x -> %#x",
-						iter, tc.Inputs, i, s, valsOld[s], valsNew[i])
+				if valsNew[i] != valsOld[i] {
+					t.Fatalf("iter %d inputs %v: clean node %d changed value: %#x -> %#x",
+						iter, tc.Inputs, i, valsOld[i], valsNew[i])
 				}
 			}
 		}
+		p.EndEdit()
+	}
+}
+
+// TestGCDeadSetIsComplementOfReachable pins deferred GC: under a
+// journal GC renumbers nothing, and the dead set it peels over the
+// user masks is exactly the body nodes Reachable does not reach. The
+// walk mixes every mutate move, including the model dialect's
+// redundancy merges, with raw appends and root moves. A kept edit must
+// compact to a valid program that computes what the proposal did.
+func TestGCDeadSetIsComplementOfReachable(t *testing.T) {
+	for _, d := range []struct {
+		name       string
+		set        *prog.OpSet
+		redundancy bool
+	}{{"full", prog.FullSet, false}, {"model", prog.ModelSet, true}} {
+		t.Run(d.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(5, 0x9c))
+			suite := testcase.Generate(func(in []uint64) uint64 { return in[0] ^ in[1]>>2 }, 2, 16, rng)
+			mut := mutate.New(d.set, suite, d.redundancy)
+			p := prog.NewZero(2)
+			var j prog.Journal
+			in := suite.Cases[0].Inputs
+			peeled := 0
+			for iter := 0; iter < 3000; iter++ {
+				p.BeginEdit(&j)
+				n := p.Len()
+				if rng.IntN(4) == 0 {
+					if p.BodyLen() < prog.MaxBody {
+						nd := prog.Node{Op: prog.OpConst, Val: rng.Uint64()}
+						if op := d.set.RandomOp(rng); rng.IntN(2) == 0 {
+							nd = prog.Node{Op: op}
+							for a := 0; a < op.Arity(); a++ {
+								nd.Args[a] = int32(rng.IntN(p.Len()))
+							}
+						}
+						p.AppendNode(nd)
+					}
+					p.SetRoot(int32(rng.IntN(p.Len())))
+					p.GC()
+				} else if _, ok := mut.Apply(p, rng); !ok {
+					p.Rollback()
+					continue
+				}
+				if p.Len() < n {
+					t.Fatalf("iter %d: GC renumbered the program mid-edit (%d -> %d nodes)", iter, n, p.Len())
+				}
+				body := (uint32(1)<<uint(p.Len()) - 1) &^ (uint32(1)<<uint(p.NumInputs) - 1)
+				if want := body &^ uint32(p.Reachable()); j.Dead() != want {
+					t.Fatalf("iter %d: dead set %#x, unreachable body %#x\nprogram: %s", iter, j.Dead(), want, p)
+				}
+				if j.Dead() != 0 {
+					peeled++
+				}
+				want := p.Output(in)
+				if rng.IntN(2) == 0 {
+					p.Rollback()
+					continue
+				}
+				p.EndEdit()
+				if err := p.Validate(); err != nil {
+					t.Fatalf("iter %d: kept edit compacted to an invalid program: %v\n%s", iter, err, p)
+				}
+				if got := p.Output(in); got != want {
+					t.Fatalf("iter %d: compaction changed the output: %#x -> %#x", iter, want, got)
+				}
+			}
+			if peeled == 0 {
+				t.Fatal("no edit left dead nodes; the peel path never ran")
+			}
+		})
 	}
 }
 

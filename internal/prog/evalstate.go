@@ -77,9 +77,8 @@ type EvalState struct {
 	ndirty    int
 	// dirtyArgs[k] holds the resolved argument columns of dirtyList[k],
 	// computed once in Begin: a proposal's column bindings (shadow
-	// buffer vs committed column via the journal's index map) are fixed
-	// for its lifetime, so per-chunk EvalRange calls need not re-resolve
-	// them.
+	// buffer vs committed column) are fixed for its lifetime, so
+	// per-chunk EvalRange calls need not re-resolve them.
 	dirtyArgs [MaxNodes][2][]uint64
 
 	stats EvalStats
@@ -157,17 +156,22 @@ func (e *EvalState) CaseValues(c int, dst []uint64) {
 // Begin starts a proposal against the journaled in-place edit: it
 // closes the journal's dirty-node set over transitive users in
 // topological order, producing the exact set of columns EvalRange must
-// recompute. Every other column is reused from the committed matrix
-// (renumbered through the journal's index map when GC compacted).
+// recompute. Every other column is reused from the committed matrix at
+// the same index (compaction waits for EndEdit). Nodes the edit's GC
+// found dead are skipped: nothing live reads them.
 func (e *EvalState) Begin(j *Journal) {
 	e.j = j
 	p := e.p
 	order := p.TopoOrder()
-	dirty := j.dirty
+	dead := j.dead
+	dirty := j.dirty &^ dead
 	nd := 0
 	if dirty != 0 {
 		for _, i := range order {
 			bit := uint32(1) << uint(i)
+			if dead&bit != 0 {
+				continue
+			}
 			if dirty&bit == 0 {
 				n := &p.Nodes[i]
 				for a := 0; a < n.Op.Arity(); a++ {
@@ -194,18 +198,18 @@ func (e *EvalState) Begin(j *Journal) {
 		}
 	}
 	e.stats.NodesReevaluated += int64(nd)
-	e.stats.NodesTotal += int64(len(order))
+	e.stats.NodesTotal += int64(len(order) - mathbits.OnesCount32(dead))
 	e.stats.CasesTotal += int64(e.ncases)
 }
 
-// argColumn resolves an argument index of the proposal program to its
-// value column: the shadow buffer for dirty nodes, the committed
-// column (via the journal's index map) otherwise.
+// argColumn resolves a node index of the proposal program to its value
+// column: the shadow buffer for dirty nodes, the committed column
+// otherwise.
 func (e *EvalState) argColumn(i int32) []uint64 {
 	if e.dirty&(1<<uint(i)) != 0 {
 		return e.prop[i]
 	}
-	return e.cols[e.j.Src(int(i))]
+	return e.cols[i]
 }
 
 // EvalRange recomputes the dirty columns for suite cases [c0, c1) and
@@ -220,11 +224,7 @@ func (e *EvalState) EvalRange(c0, c1 int) []uint64 {
 		e.fillColumn(&p.Nodes[i], e.prop[i], e.dirtyArgs[k], c0, c1)
 	}
 	e.stats.CasesEvaluated += int64(c1 - c0)
-	root := p.Root
-	if e.dirty&(1<<uint(root)) != 0 {
-		return e.prop[root][c0:c1]
-	}
-	return e.cols[e.j.Src(int(root))][c0:c1]
+	return e.argColumn(p.Root)[c0:c1]
 }
 
 // fillColumn computes one node's values for cases [c0, c1) into dst.
@@ -468,28 +468,31 @@ func (e *EvalState) fillColumn(nd *Node, dst []uint64, ab [2][]uint64, c0, c1 in
 	}
 }
 
-// Commit adopts the proposal: surviving committed columns are re-homed
-// to their post-edit indices (a header permutation, no value copies)
-// and the recomputed shadow columns are swapped in. The program must
-// have been fully evaluated (all case blocks pulled).
+// Commit adopts the proposal: the recomputed shadow columns are swapped
+// in, and when the edit's GC found dead nodes the surviving columns are
+// re-homed to the indices EndEdit gives them (a header permutation, no
+// value copies). The program must have been fully evaluated (all case
+// blocks pulled), and Commit must precede EndEdit.
 func (e *EvalState) Commit() {
 	j := e.j
-	n := len(e.p.Nodes)
-	if j.compacted {
-		// srcIdx is strictly increasing over surviving nodes
-		// (compaction preserves order and only moves nodes down), so
-		// ascending swaps re-home every surviving column without
-		// clobbering one that is still needed.
-		for i := 0; i < n; i++ {
-			if s := int(j.srcIdx[i]); s >= 0 && s != i {
-				e.cols[i], e.cols[s] = e.cols[s], e.cols[i]
-			}
-		}
+	if e.p.jr != j {
+		panic("prog: EvalState.Commit after the program's edit ended")
 	}
 	for mask := e.dirty; mask != 0; {
 		i := mathbits.TrailingZeros32(mask)
 		mask &^= 1 << uint(i)
 		e.cols[i], e.prop[i] = e.prop[i], e.cols[i]
+	}
+	if j.dead != 0 {
+		// Survivors only move down (Remap), so ascending swaps re-home
+		// every surviving column without clobbering one still needed.
+		var remap [MaxNodes]int32
+		Remap(uint64(j.dead), remap[:len(e.p.Nodes)])
+		for i, w := range remap[:len(e.p.Nodes)] {
+			if w >= 0 {
+				e.cols[w], e.cols[i] = e.cols[i], e.cols[w]
+			}
+		}
 	}
 	e.j = nil
 	e.dirty = 0

@@ -135,7 +135,7 @@ func TestEvalStateResetMatchesEval(t *testing.T) {
 
 // TestEvalStateIncrementalRandomEdits is the engine's core property
 // test: a long random walk of journaled in-place edits — opcode and
-// argument rewrites, appends, root moves, and compacting GCs — with
+// argument rewrites, appends, root moves, and GCs — with
 // every proposal's EvalRange output checked against a from-scratch
 // evaluation of the edited program, and the committed matrix checked
 // against the current program after every Commit and every
@@ -173,11 +173,15 @@ func TestEvalStateIncrementalRandomEdits(t *testing.T) {
 					p.AppendNode(randBodyNode(rng, len(p.Nodes)))
 				}
 			}
-			// Occasionally move the root and compact (writes first,
-			// collect last — the journaling discipline).
+			// Occasionally move the root and collect (writes first,
+			// collect last — the journaling discipline). GC only marks
+			// the dead nodes: Commit re-homes the columns by that mask
+			// and EndEdit compacts.
 			if rng.IntN(4) == 0 {
 				p.SetRoot(int32(rng.IntN(len(p.Nodes))))
-				p.GC()
+				if n := len(p.Nodes); p.GC() > 0 && len(p.Nodes) != n {
+					t.Fatalf("seed %d iter %d: GC renumbered the program mid-edit", seed, iter)
+				}
 			}
 			e.Begin(&j)
 			for c0 := 0; c0 < ncases; c0 += EvalChunk {

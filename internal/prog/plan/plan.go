@@ -93,17 +93,6 @@ type State struct {
 	inFacts []absint.Value
 	facts   []absint.Value
 
-	// users[i] is the bitmask of committed-program nodes that read
-	// node i, rebuilt at Reset and Commit. Begin closes the journal's
-	// dirty seeds over transitive users with a bitmask worklist over
-	// these masks instead of rescanning the whole program per proposal
-	// (the interpreted engine's approach); see Begin for why the
-	// committed masks stay sound against the edited proposal.
-	// Sized 32 (not MaxNodes) so that indices produced by
-	// bits.TrailingZeros32 masked with &31 are provably in range and
-	// the hot Begin loops compile without bounds checks.
-	users [32]uint32
-
 	// pops[i] caches the facts-free (patch-path) lowering of committed
 	// node i, with pargs[i] holding the bitmask of its pre-fold
 	// argument indices and popsFused marking immediate-form lowerings.
@@ -113,8 +102,10 @@ type State struct {
 	// syntactic fold). Everything else — the bulk of each dirty closure
 	// — reuses the cached op. The cache is maintained at Reset (full
 	// build) and Commit (dirty slots from this proposal's lowerings,
-	// with an index remap after a compacting GC); aborted proposals
-	// never touch it.
+	// renumbered in place when the edit's GC found dead nodes); aborted
+	// proposals never touch it. Sized 32 (not MaxNodes) so that indices
+	// produced by bits.TrailingZeros32 masked with &31 are provably in
+	// range and the hot Begin loops compile without bounds checks.
 	pops      [32]compiledOp
 	pargs     [32]uint32
 	popsFused uint32
@@ -226,7 +217,6 @@ func (e *State) Reset(p *prog.Program) {
 		}
 		op.kern(e.cols[i], a, b, op.imm, 0, e.ncases)
 	}
-	e.rebuildUsers()
 	e.rebuildPops()
 }
 
@@ -321,26 +311,19 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	return compiledOp{kern: ks.VV, argA: a, argB: b}, false
 }
 
-// rebuildUsers recomputes the committed user masks from the bound
-// program (O(nodes), two mask ORs per node — cheaper than one
-// proposal's worth of full-program closure scans).
-func (e *State) rebuildUsers() {
-	for i := range e.users {
-		e.users[i] = 0
+// argMask returns the bitmask of n's (pre-fold) argument indices.
+func argMask(n *prog.Node) uint32 {
+	var pa uint32
+	for a := 0; a < n.Op.Arity(); a++ {
+		pa |= 1 << uint(n.Args[a])
 	}
-	p := e.p
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		for a := 0; a < n.Op.Arity(); a++ {
-			e.users[n.Args[a]] |= 1 << uint(i)
-		}
-	}
+	return pa
 }
 
 // rebuildPops relowers every committed body node into the patch-path
 // cache: the facts-free compiledOp, the pre-fold argument mask, and
-// the fused bit. O(nodes); runs at Reset and after a compacting
-// Commit, the two points where committed indices change wholesale.
+// the fused bit. O(nodes); runs at Reset, where committed indices
+// change wholesale.
 func (e *State) rebuildPops() {
 	p := e.p
 	e.popsFused = 0
@@ -350,12 +333,7 @@ func (e *State) rebuildPops() {
 		if fused {
 			e.popsFused |= 1 << uint(i)
 		}
-		n := &p.Nodes[i]
-		var pa uint32
-		for a := 0; a < n.Op.Arity(); a++ {
-			pa |= 1 << uint(n.Args[a])
-		}
-		e.pargs[i] = pa
+		e.pargs[i] = argMask(&p.Nodes[i])
 	}
 }
 
@@ -364,20 +342,16 @@ func (e *State) rebuildPops() {
 // dirty node (reusing the pops cache wherever the node and its
 // arguments are unedited), orders the closure topologically, and binds
 // fully resolved proposal tapes (operand columns resolved to the
-// shadow buffer for dirty operands, the committed column through the
-// journal's index map otherwise), split into a live tape the cost
-// path executes and a deferred tape of root-unreachable nodes that
-// Commit materializes.
+// shadow buffer for dirty operands, the committed column otherwise),
+// split into a live tape the cost path executes and a deferred tape of
+// root-unreachable nodes that Commit materializes.
 //
-// The closure runs as a bitmask worklist over the committed user
-// masks rather than a scan of the whole program. The committed masks
-// stay sound against the edited proposal: an edge can only appear or
-// disappear by editing the node that owns it, and every edited node
-// is a journal seed (already dirty), so a stale mask bit only ever
-// re-marks a node the closure holds anyway, and a missing bit only
-// ever points at a seed. Compaction renumbers nodes mid-edit; the
-// worklist then routes every hop through the journal's index map and
-// its inverse instead of touching Program.TopoOrder.
+// The closure is a bitmask worklist over the program's user masks
+// (Program.UserClosure), which the journaling mutators keep exact for
+// the edited proposal. Nodes the edit's GC found dead are left out:
+// nothing live reads them and EndEdit removes them. Compaction waits
+// for EndEdit, so a clean node's committed column sits at its proposal
+// index.
 //
 // Ordering and deferral both run on the post-fold dirty-argument
 // masks (e.am): an operand folded to an immediate is no longer a
@@ -387,93 +361,27 @@ func (e *State) rebuildPops() {
 func (e *State) Begin(j *prog.Journal) {
 	e.j = j
 	p := e.p
-	seeds := j.Dirty()
+	dead := j.Dead()
+	seeds := j.Dirty() &^ dead
 	dirty := seeds
-	compacted := j.Compacted()
 	nd := 0
-	if dirty != 0 {
-		var inv [prog.MaxNodes]int32
-		seedsC := seeds // the seed set in committed indexing
-		if !compacted {
-			// Journal and committed indices align: propagate straight
-			// through the committed masks.
-			for work := dirty; work != 0; {
-				i := mathbits.TrailingZeros32(work) & 31
-				work &^= 1 << uint(i)
-				nu := e.users[i] &^ dirty
-				dirty |= nu
-				work |= nu
-			}
-		} else {
-			// A GC compaction renumbered the proposal mid-edit. The
-			// masks still describe committed indices, so build the
-			// committed→proposal inverse of the journal's index map
-			// once (strictly increasing over survivors) and translate
-			// each hop. Removed committed nodes drop out via invOK;
-			// appended nodes have no committed users and their real
-			// users are edited nodes, i.e. seeds.
-			var invOK uint32
-			for w := 0; w < len(p.Nodes); w++ {
-				if s := j.Src(w); s >= 0 {
-					inv[s] = int32(w)
-					invOK |= 1 << uint(s)
-				}
-			}
-			seedsC = 0
-			for m := seeds; m != 0; {
-				i := mathbits.TrailingZeros32(m)
-				m &^= 1 << uint(i)
-				if s := j.Src(i); s >= 0 {
-					seedsC |= 1 << uint(s)
-				}
-			}
-			for work := dirty; work != 0; {
-				i := mathbits.TrailingZeros32(work)
-				work &^= 1 << uint(i)
-				var uc uint32
-				if s := j.Src(i); s >= 0 {
-					uc = e.users[s] & invOK
-				}
-				for m := uc; m != 0; {
-					c := mathbits.TrailingZeros32(m)
-					m &^= 1 << uint(c)
-					wb := uint32(1) << uint(inv[c])
-					if dirty&wb == 0 {
-						dirty |= wb
-						work |= wb
-					}
-				}
-			}
-		}
+	if seeds != 0 {
+		dirty = p.UserClosure(seeds, dead)
 		// Lower every dirty node — cache hit unless the node or one of
 		// its (pre-fold) arguments is a seed — and record its post-fold
 		// dirty-argument mask, which drives both the topological
 		// ready-scan and the reachability sweep below as pure bitmask
 		// loops.
 		e.opsFused = 0
-		live := dirty & (uint32(1)<<uint(len(p.Nodes)) - 1)
-		for m := live; m != 0; {
+		for m := dirty; m != 0; {
 			i := mathbits.TrailingZeros32(m) & 31
 			bit := uint32(1) << uint(i)
 			m &^= bit
 			var op compiledOp
 			var fused bool
-			if !compacted {
-				if seeds&bit == 0 && e.pargs[i]&seedsC == 0 {
-					op = e.pops[i]
-					fused = e.popsFused&bit != 0
-				} else {
-					op, fused = compileNode(p, int32(i), nil)
-				}
-			} else if s := j.Src(i); seeds&bit == 0 && s >= 0 && e.pargs[s]&seedsC == 0 {
-				op = e.pops[s]
-				if op.argA >= 0 {
-					op.argA = inv[op.argA]
-				}
-				if op.argB >= 0 {
-					op.argB = inv[op.argB]
-				}
-				fused = e.popsFused&(1<<uint(s)) != 0
+			if seeds&bit == 0 && e.pargs[i]&seeds == 0 {
+				op = e.pops[i]
+				fused = e.popsFused&bit != 0
 			} else {
 				op, fused = compileNode(p, int32(i), nil)
 			}
@@ -494,11 +402,9 @@ func (e *State) Begin(j *prog.Journal) {
 		// Order the closure with a ready-scan restricted to the dirty
 		// set (typically 2-6 nodes): a node is ready once its dirty
 		// arguments are all placed. Clean arguments are committed
-		// columns, always available. The mask may carry bits for
-		// truncated (dead, since removed) indices; they stay out of the
-		// list, matching the interpreted engine's order-based sweep.
+		// columns, always available.
 		placed := uint32(0)
-		for rem := live; rem != 0; {
+		for rem := dirty; rem != 0; {
 			progress := false
 			for m := rem; m != 0; {
 				i := mathbits.TrailingZeros32(m) & 31
@@ -520,8 +426,8 @@ func (e *State) Begin(j *prog.Journal) {
 	}
 	e.dirty = dirty
 	e.ndirty = nd
-	// Root reachability restricted to the dirty set. Every user of a
-	// dirty node is itself dirty (that is what the closure closes
+	// Root reachability restricted to the dirty set. Every live user of
+	// a dirty node is itself dirty (that is what the closure closes
 	// over), so any root-to-dirty-node path runs through dirty nodes
 	// only: a dirty node is root-reachable iff the root is dirty and
 	// reaches it through dirty users. One backward sweep over the
@@ -552,40 +458,27 @@ func (e *State) Begin(j *prog.Journal) {
 		t.kern = op.kern
 		t.dst = e.prop[i]
 		t.imm = op.imm
-		if a := op.argA; a >= 0 {
-			if dirty&(1<<uint(a)) != 0 {
-				t.a = e.prop[a]
-			} else if !compacted {
-				t.a = e.cols[a]
-			} else {
-				t.a = e.cols[j.Src(int(a))]
-			}
-		} else {
-			t.a = nil
-		}
-		if b := op.argB; b >= 0 {
-			if dirty&(1<<uint(b)) != 0 {
-				t.b = e.prop[b]
-			} else if !compacted {
-				t.b = e.cols[b]
-			} else {
-				t.b = e.cols[j.Src(int(b))]
-			}
-		} else {
-			t.b = nil
-		}
+		t.a = e.column(op.argA)
+		t.b = e.column(op.argB)
 	}
-	if dirty&(1<<uint(p.Root)) != 0 {
-		e.rootCol = e.prop[p.Root]
-	} else if !compacted {
-		e.rootCol = e.cols[p.Root]
-	} else {
-		e.rootCol = e.cols[j.Src(int(p.Root))]
-	}
+	e.rootCol = e.column(p.Root)
 	e.pstats.Patches += int64(nd)
 	e.estats.NodesReevaluated += int64(nd)
-	e.estats.NodesTotal += int64(len(p.Nodes))
+	e.estats.NodesTotal += int64(len(p.Nodes) - mathbits.OnesCount32(dead))
 	e.estats.CasesTotal += int64(e.ncases)
+}
+
+// column resolves node i of the active proposal to the column holding
+// its value: the shadow buffer when the proposal recomputes it, the
+// committed column otherwise, nil for a folded operand (i < 0).
+func (e *State) column(i int32) []uint64 {
+	switch {
+	case i < 0:
+		return nil
+	case e.dirty&(1<<uint(i)) != 0:
+		return e.prop[i]
+	}
+	return e.cols[i]
 }
 
 // RunTape executes the live proposal tape for suite cases [c0, c1)
@@ -617,67 +510,83 @@ func (e *State) EvalRange(c0, c1 int) []uint64 {
 
 // Commit adopts the proposal: deferred entries are materialized (the
 // committed matrix must be exact for every node — CaseValues feeds
-// the redundancy probes), surviving committed columns are re-homed to
-// their post-edit indices, and the recomputed shadow columns are
-// swapped in. Header permutation only, no value copies beyond the
-// deferred fills.
+// the redundancy probes), the recomputed shadow columns are swapped in
+// with this proposal's lowerings, and when the edit's GC found dead
+// nodes the columns and the patch cache are re-homed to the indices
+// EndEdit gives the survivors. Header permutation only, no value copies
+// beyond the deferred fills. Commit must precede EndEdit.
 func (e *State) Commit() {
 	j := e.j
-	// Deferred entries' operand bindings reference the pre-re-homing
-	// column layout, so run them first. The deferred tape is in
-	// topological order and unreachable nodes only feed unreachable
-	// nodes, so tape order is execution order.
+	if e.p.Journal() != j {
+		panic("plan: Commit after the program's edit ended")
+	}
+	// The deferred tape is in topological order and unreachable nodes
+	// only feed unreachable nodes, so tape order is execution order.
 	for k := 0; k < e.ndefer; k++ {
 		t := &e.dtape[k]
 		t.kern(t.dst, t.a, t.b, t.imm, 0, e.ncases)
 	}
-	if j.Compacted() {
-		// The index map is strictly increasing over surviving nodes
-		// (compaction preserves order and only moves nodes down), so
-		// ascending swaps re-home every surviving column without
-		// clobbering one that is still needed.
-		for i := 0; i < len(e.p.Nodes); i++ {
-			if s := j.Src(i); s >= 0 && s != i {
-				e.cols[i], e.cols[s] = e.cols[s], e.cols[i]
-			}
-		}
-	}
+	// Adopt the proposal lowerings for the edited slots. The facts-free
+	// patch compile is exactly what Begin produced for them
+	// (compileNode with nil facts), so no relowering is needed; only
+	// the pre-fold argument masks are recomputed from the now committed
+	// nodes.
 	for mask := e.dirty; mask != 0; {
-		i := mathbits.TrailingZeros32(mask)
-		mask &^= 1 << uint(i)
+		i := mathbits.TrailingZeros32(mask) & 31
+		bit := uint32(1) << uint(i)
+		mask &^= bit
 		e.cols[i], e.prop[i] = e.prop[i], e.cols[i]
+		e.pops[i] = e.ops[i]
+		e.pargs[i] = argMask(&e.p.Nodes[i])
+		e.popsFused = e.popsFused&^bit | e.opsFused&bit
 	}
-	e.rebuildUsers()
-	if j.Compacted() {
-		// Committed indices moved wholesale; relower the whole cache.
-		// (This must run even with an empty dirty mask — a root-only
-		// move followed by GC compacts without dirtying anything.)
-		e.rebuildPops()
-	} else {
-		// Adopt the proposal lowerings for the edited slots. The
-		// facts-free patch compile is exactly what Begin produced for
-		// them (compileNode with nil facts), so no relowering needed;
-		// only the pre-fold argument masks are recomputed from the now
-		// committed nodes.
-		for mask := e.dirty; mask != 0; {
-			i := mathbits.TrailingZeros32(mask)
-			bit := uint32(1) << uint(i)
-			mask &^= bit
-			e.pops[i] = e.ops[i]
-			n := &e.p.Nodes[i]
-			var pa uint32
-			for a := 0; a < n.Op.Arity(); a++ {
-				pa |= 1 << uint(n.Args[a])
-			}
-			e.pargs[i] = pa
-			e.popsFused = e.popsFused&^bit | e.opsFused&bit
-		}
+	if dead := j.Dead(); dead != 0 {
+		e.compact(dead)
 	}
 	e.j = nil
 	e.dirty = 0
 	e.ndirty = 0
 	e.nlive = 0
 	e.ndefer = 0
+}
+
+// compact re-homes the committed columns and the patch cache to the
+// numbering EndEdit gives the survivors of dead (prog.Remap): survivors
+// move down in order, so ascending swaps never clobber a column still
+// needed (a dead node's buffer lands in the vacated slot), and every
+// cached lowering's operand indices and argument mask are renumbered in
+// place. The cache cannot instead be rebuilt at the next Begin: by then
+// the next move has already edited the program.
+func (e *State) compact(dead uint32) {
+	var remap [prog.MaxNodes]int32
+	n := len(e.p.Nodes)
+	w := prog.Remap(uint64(dead), remap[:n])
+	for i, to := range remap[:n] {
+		if to < 0 || int(to) == i {
+			continue
+		}
+		bit, wbit := uint32(1)<<uint(i), uint32(1)<<uint(to)
+		e.cols[to], e.cols[i] = e.cols[i], e.cols[to]
+		e.pops[to], e.pargs[to] = e.pops[i], e.pargs[i]
+		e.popsFused &^= wbit
+		if e.popsFused&bit != 0 {
+			e.popsFused |= wbit
+		}
+	}
+	for i := e.p.NumInputs; i < w; i++ {
+		op := &e.pops[i]
+		if op.argA >= 0 {
+			op.argA = remap[op.argA]
+		}
+		if op.argB >= 0 {
+			op.argB = remap[op.argB]
+		}
+		var pa uint32
+		for m := e.pargs[i]; m != 0; m &= m - 1 {
+			pa |= 1 << uint(remap[mathbits.TrailingZeros32(m)])
+		}
+		e.pargs[i] = pa
+	}
 }
 
 // Abort discards the proposal. The committed columns were never

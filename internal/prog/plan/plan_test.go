@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"stochsyn/internal/prog"
@@ -219,10 +220,29 @@ func TestRecipeCache(t *testing.T) {
 	}
 }
 
+// checkPatchCache asserts that the patch cache Begin and Commit
+// maintain incrementally (pops, pargs, popsFused) equals a rebuild from
+// the committed program: after a GC that removed nodes, Commit must
+// have renumbered every cached lowering exactly.
+func checkPatchCache(t *testing.T, e *State) {
+	t.Helper()
+	ref := *e
+	ref.rebuildPops()
+	for i := e.p.NumInputs; i < e.p.Len(); i++ {
+		got, want := e.pops[i], ref.pops[i]
+		if got.argA != want.argA || got.argB != want.argB || got.imm != want.imm ||
+			reflect.ValueOf(got.kern).Pointer() != reflect.ValueOf(want.kern).Pointer() ||
+			e.pargs[i] != ref.pargs[i] || (e.popsFused^ref.popsFused)&(1<<uint(i)) != 0 {
+			t.Fatalf("patch cache slot %d: %+v args %#x, rebuild %+v args %#x\nprogram: %s",
+				i, got, e.pargs[i], want, ref.pargs[i], e.p)
+		}
+	}
+}
+
 // TestPlanIncrementalRandomEdits is the plan engine's core property
 // test, run in lockstep with the interpreted engine: a long random
 // walk of journaled in-place edits — opcode and argument rewrites,
-// appends, root moves, and compacting GCs — with both engines
+// appends, root moves, and GCs — with both engines
 // consuming the same journal. Every proposal's EvalRange output is
 // checked against the interpreted engine and a from-scratch
 // evaluation, and the committed matrices are compared node for node
@@ -261,11 +281,15 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 					p.AppendNode(randBodyNode(rng, p.Len()))
 				}
 			}
-			// Occasionally move the root and compact (writes first,
-			// collect last — the journaling discipline).
+			// Occasionally move the root and collect (writes first,
+			// collect last — the journaling discipline). GC only marks
+			// the dead nodes: Commit re-homes the columns and the patch
+			// cache by that mask and EndEdit compacts.
 			if rng.IntN(4) == 0 {
 				p.SetRoot(int32(rng.IntN(p.Len())))
-				p.GC()
+				if n := p.Len(); p.GC() > 0 && p.Len() != n {
+					t.Fatalf("seed %d iter %d: GC renumbered the program mid-edit", seed, iter)
+				}
 			}
 			ref.Begin(&j)
 			e.Begin(&j)
@@ -294,6 +318,7 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 				e.Abort()
 				p.Rollback()
 			}
+			checkPatchCache(t, e)
 			// Both committed matrices must describe the current program
 			// exactly, whichever branch was taken.
 			for c, tc := range suite.Cases {

@@ -64,12 +64,12 @@ type Program struct {
 	orderOK bool
 
 	// users caches, per node, the bitmask of nodes reading it through
-	// an argument edge. Ancestors runs as a bitmask worklist over these
-	// masks. Unlike order, the journaling mutators (SetOp, SetArg,
-	// AppendNode) maintain the masks in place and Rollback repairs them
-	// from the journal, so in the steady state of the search loop
-	// (edit, query Ancestors, roll back, repeat) the cache never
-	// rebuilds; only GC compaction and raw builders drop it.
+	// an argument edge. Ancestors and UserClosure run as bitmask
+	// worklists over these masks. Unlike order, the journaling mutators
+	// (SetOp, SetArg, AppendNode) maintain the masks in place and
+	// Rollback repairs them from the journal, so in the steady state of
+	// the search loop (edit, query Ancestors, roll back, repeat) the
+	// cache never rebuilds; only compaction and raw builders drop it.
 	users   [MaxNodes]uint32
 	usersOK bool
 
@@ -125,8 +125,15 @@ func NewInput(numInputs, i int) *Program {
 func (p *Program) Len() int { return len(p.Nodes) }
 
 // BodyLen returns the number of body nodes (instructions and
-// constants), the count limited by MaxBody.
-func (p *Program) BodyLen() int { return len(p.Nodes) - p.NumInputs }
+// constants), the count limited by MaxBody. During an edit the nodes
+// GC found dead are not counted: EndEdit removes them.
+func (p *Program) BodyLen() int {
+	n := len(p.Nodes) - p.NumInputs
+	if p.jr != nil {
+		n -= mathbits.OnesCount32(p.jr.dead)
+	}
+	return n
+}
 
 // Clone returns a deep copy of p.
 func (p *Program) Clone() *Program {
@@ -351,30 +358,41 @@ func (p *Program) ReachableFrom(start int32) uint64 {
 // running one DFS per node). The mutator's cycle-avoidance checks use
 // it to classify every node at once.
 func (p *Program) Ancestors(to int32) uint64 {
+	return uint64(p.UserClosure(1<<uint(to), 0))
+}
+
+// UserClosure returns seeds closed over transitive users, as a bitmask
+// worklist over the cached user masks that never enters a node in
+// skip. The evaluation engines close a journal's dirty nodes with it,
+// skipping the nodes the edit's GC found dead.
+func (p *Program) UserClosure(seeds, skip uint32) uint32 {
 	users := p.userMasks()
-	mask := uint32(1) << uint(to)
-	for work := mask; work != 0; {
+	mask := seeds
+	for work := seeds; work != 0; {
 		i := mathbits.TrailingZeros32(work)
 		work &^= 1 << uint(i)
-		nu := users[i] &^ mask
+		nu := users[i] &^ (mask | skip)
 		mask |= nu
 		work |= nu
 	}
-	return uint64(mask)
+	return mask
 }
 
-// GC removes body nodes unreachable from the root, compacting Nodes
-// and remapping indices; the permanent input nodes are always kept. It
-// returns the number of nodes removed. Mutators call it after
-// redirecting edges so the no-dead-code invariant holds.
+// GC removes body nodes unreachable from the root; the permanent input
+// nodes are always kept. It returns the number of dead nodes found.
+// Mutators call it after redirecting edges so the no-dead-code
+// invariant holds.
 //
-// With an active edit journal, GC copy-on-writes every slot it
-// overwrites (so Rollback restores the pre-edit program exactly) and
-// records the index remap, which the incremental evaluation engine
-// uses to re-home surviving value columns. Moved and arg-remapped
-// nodes are not marked value-dirty: compaction renumbers the DAG but
-// never changes what any surviving node computes.
+// Outside an edit GC compacts at once: survivors move down in order and
+// indices are remapped. With an active edit journal it renumbers
+// nothing: it peels the dead set into the journal (Journal.Dead) and
+// EndEdit compacts, so a rejected proposal never pays for a compaction
+// and its rollback never undoes one.
 func (p *Program) GC() int {
+	if j := p.jr; j != nil {
+		j.dead = p.peelDead()
+		return mathbits.OnesCount32(j.dead)
+	}
 	n := len(p.Nodes)
 	if p.usersOK {
 		// Exact no-dead-code test, no graph walk: in a DAG, a nonempty
@@ -394,49 +412,70 @@ func (p *Program) GC() int {
 			return 0
 		}
 	}
-	mask := p.Reachable()
 	full := (uint64(1) << uint(n)) - 1
-	inputMask := (uint64(1) << uint(p.NumInputs)) - 1
-	mask |= inputMask // inputs are permanent
-	if mask == full {
+	live := p.Reachable() | (uint64(1)<<uint(p.NumInputs) - 1) // inputs are permanent
+	if live == full {
 		return 0
 	}
-	j := p.jr
-	var remap [maxTransient]int32
+	return p.compact(full &^ live)
+}
+
+// Remap fills remap (one entry per node) with the index each node takes
+// once the nodes in dead are compacted away, -1 for a dead node, and
+// returns the number of survivors. Survivors keep their order and move
+// down. This is the one numbering rule of compaction: Program.compact
+// and the evaluation engines that re-home their columns at Commit all
+// follow it.
+func Remap(dead uint64, remap []int32) int {
 	w := 0
-	for i := 0; i < n; i++ {
-		if mask&(uint64(1)<<uint(i)) != 0 {
-			remap[i] = int32(w)
-			if w != i {
-				if j != nil {
-					j.save(p, int32(w))
-				}
-				p.Nodes[w] = p.Nodes[i]
-			}
-			w++
-		} else {
+	for i := range remap {
+		if dead&(uint64(1)<<uint(i)) != 0 {
 			remap[i] = -1
+			continue
+		}
+		remap[i] = int32(w)
+		w++
+	}
+	return w
+}
+
+// compact removes the nodes in dead (never an input), moving the
+// survivors down in order and remapping argument indices and the root.
+// It returns the number of nodes removed.
+func (p *Program) compact(dead uint64) int {
+	var remap [maxTransient]int32
+	w := Remap(dead, remap[:len(p.Nodes)])
+	for i, to := range remap[:len(p.Nodes)] {
+		if to >= 0 {
+			p.Nodes[to] = p.Nodes[i]
 		}
 	}
-	removed := n - w
+	removed := len(p.Nodes) - w
 	p.Nodes = p.Nodes[:w]
-	for i := 0; i < w; i++ {
+	for i := range p.Nodes {
 		nd := &p.Nodes[i]
 		for a := 0; a < nd.Op.Arity(); a++ {
-			if na := remap[nd.Args[a]]; na != nd.Args[a] {
-				if j != nil {
-					j.save(p, int32(i))
-				}
-				nd.Args[a] = na
-			}
+			nd.Args[a] = remap[nd.Args[a]]
 		}
 	}
 	p.Root = remap[p.Root]
-	if j != nil {
-		j.noteCompact(remap[:n], n)
-	}
 	p.Invalidate()
 	return removed
+}
+
+// Compacted returns the program as it will be once the active edit
+// ends: p itself outside an edit or when the edit's GC found nothing
+// dead, otherwise a clone without the journal's dead nodes. Consumers
+// that read a proposal whole (the debug invariant gate, the
+// rewrite-equivalence memo) take this form; the evaluation engines read
+// p and skip the dead nodes.
+func (p *Program) Compacted() *Program {
+	if p.jr == nil || p.jr.dead == 0 {
+		return p
+	}
+	q := p.Clone()
+	q.compact(uint64(p.jr.dead))
+	return q
 }
 
 // Validate checks all structural invariants and returns a descriptive

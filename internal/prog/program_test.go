@@ -61,6 +61,16 @@ func TestNewBasePanicsTooManyInputs(t *testing.T) {
 	NewZero(MaxInputs + 1)
 }
 
+// TestRemap pins compaction's numbering rule: survivors keep their
+// order and move down, dead nodes map to -1.
+func TestRemap(t *testing.T) {
+	var remap [6]int32
+	n := Remap(0b010110, remap[:])
+	if want := [6]int32{0, -1, -1, 1, -1, 2}; n != 3 || remap != want {
+		t.Errorf("Remap = %d, %v; want 3, %v", n, remap, want)
+	}
+}
+
 // build constructs a program from a textual expression and fails the
 // test on error.
 func build(t *testing.T, src string, numInputs int) *Program {

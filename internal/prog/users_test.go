@@ -127,7 +127,15 @@ func TestAncestorsMaintainedAcrossEdits(t *testing.T) {
 				}
 			}
 			if rng.IntN(4) == 0 {
+				// Under the journal GC only records the dead set: the
+				// masks keep describing the uncompacted proposal, which
+				// both Rollback and EndEdit's compaction start from.
+				n := p.Len()
 				p.GC()
+				if p.Len() != n {
+					t.Fatalf("GC renumbered the program mid-edit: %d -> %d nodes", n, p.Len())
+				}
+				checkAncestors(t, p, "after GC")
 			}
 			if rng.IntN(2) == 0 {
 				p.Rollback()

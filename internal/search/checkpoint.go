@@ -77,7 +77,6 @@ func (r *Run) Restore(rd io.Reader) error {
 		return fmt.Errorf("search: restore rng: %w", err)
 	}
 	r.cur = cj.Program
-	r.scratch = cj.Program.Clone()
 	if r.eng != nil {
 		// The engine's committed columns must describe the restored
 		// program; a full recompute rebinds them (and the mutator's

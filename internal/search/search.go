@@ -309,7 +309,6 @@ func New(suite *testcase.Suite, opts Options) *Run {
 	} else {
 		r.cur = prog.NewZero(suite.NumInputs)
 	}
-	r.scratch = r.cur.Clone()
 	r.minimize = opts.MinimizeSize
 	r.sizeWeight = opts.SizeWeight
 	if r.minimize && r.sizeWeight <= 0 {
@@ -317,6 +316,7 @@ func New(suite *testcase.Suite, opts Options) *Run {
 	}
 	var c float64
 	if opts.LegacyEval {
+		r.scratch = r.cur.Clone()
 		c = r.kind.Of(r.cur, r.suite, r.vals[:])
 	} else {
 		// The engine's committed columns are kept exact for r.cur for
