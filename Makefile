@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test race short bench-exec bench-obs bench-eval bench-eqsat bench-prune perfbench-test server-smoke fleet-smoke
+.PHONY: ci build vet fmt lint test race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-prune perfbench-test server-smoke fleet-smoke
 
 # gate runs one CI stage, echoing "ci: <name> ok" on success and
 # "ci: FAIL at gate <name>" (then exiting nonzero) on failure, so a
@@ -27,8 +27,9 @@ ci:
 	$(call gate,bench-eval,$(MAKE) -s bench-eval)
 	$(call gate,perfbench-test,$(MAKE) -s perfbench-test)
 	$(call gate,race,$(GO) test -race ./...)
+	$(call gate,exec-stress,$(MAKE) -s exec-stress)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz eqsat-smoke bench-prune bench-eval perfbench-test race fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz eqsat-smoke bench-prune bench-eval perfbench-test race exec-stress fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -51,6 +52,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Repeat the concurrent tree executor's tests under the race detector:
+# oracle equivalence, cancellation, pass overlap and early-solve exit
+# depend on goroutine interleaving, which one run samples only once.
+exec-stress:
+	$(GO) test -race -count=10 -run 'TreeExec|Cancel|Instrument|TreeObs' ./internal/restart/
 
 short:
 	$(GO) test -short ./...

@@ -89,7 +89,6 @@ import (
 // allowed to import sync/atomic outside internal/obs, each with the
 // reason it needs raw atomics.
 var atomicWhitelist = map[string]string{
-	"internal/restart/treeexec.go":    "concurrent tree executor: lock-free busy/spent accounting on the worker hot path",
 	"internal/search/search.go":       "lock-free published-snapshot pointer so readers never block the search loop",
 	"internal/server/server.go":       "busy-worker gauge and monotonic job-id allocation",
 	"internal/restart/cancel_test.go": "test-only: cross-goroutine progress probe for cancellation timing",

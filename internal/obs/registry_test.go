@@ -128,6 +128,27 @@ func checkExposition(t *testing.T, body string) map[string]bool {
 	return series
 }
 
+// runtimeSeries returns the series RegisterRuntimeMetrics creates.
+func runtimeSeries(t *testing.T) map[string]bool {
+	t.Helper()
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r)
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return checkExposition(t, sb.String())
+}
+
+// sampleSeries returns the series of a sample line (everything before
+// the value), or "" for a comment line.
+func sampleSeries(line string) string {
+	if strings.HasPrefix(line, "#") {
+		return ""
+	}
+	return line[:max(strings.LastIndexByte(line, ' '), 0)]
+}
+
 func TestWritePromDeterministicAndValid(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_b_total", "x", "1").Add(2)
@@ -146,8 +167,25 @@ func TestWritePromDeterministicAndValid(t *testing.T) {
 	if err := r.WriteProm(&sb2); err != nil {
 		t.Fatal(err)
 	}
-	if sb1.String() != sb2.String() {
-		t.Fatal("exposition is not deterministic")
+	// The runtime gauges read live process state (goroutines of other
+	// tests come and go between the two scrapes), so only their sample
+	// values may differ; every other line, and the runtime series
+	// themselves, must match line for line.
+	live := runtimeSeries(t)
+	l1 := strings.Split(sb1.String(), "\n")
+	l2 := strings.Split(sb2.String(), "\n")
+	if len(l1) != len(l2) {
+		t.Fatalf("exposition is not deterministic: %d lines, then %d", len(l1), len(l2))
+	}
+	for i, a := range l1 {
+		b := l2[i]
+		if a == b {
+			continue
+		}
+		if ka, kb := sampleSeries(a), sampleSeries(b); ka == kb && live[ka] {
+			continue
+		}
+		t.Fatalf("exposition is not deterministic at line %d:\n  %s\n  %s", i+1, a, b)
 	}
 	body := sb1.String()
 	series := checkExposition(t, body)

@@ -48,10 +48,13 @@ type Tree struct {
 	MaxSearches int
 	// Workers selects the executor: 0 or 1 runs the doubling tree
 	// sequentially on the calling goroutine (the reference oracle);
-	// larger values dispatch sibling subtree visits onto a bounded
-	// pool of that many workers (see treeexec.go). Both executors
-	// produce bit-identical Results for a deterministic factory, so
-	// Workers trades wall-clock time only, never reproducibility.
+	// larger values run its steps and swaps on a fixed pool of that
+	// many worker goroutines, each operation waiting only on the tree
+	// nodes it touches (see treeexec.go). Both executors call the
+	// factory from the calling goroutine, one call at a time, in
+	// increasing id order, and both produce bit-identical Results for
+	// a deterministic factory, so Workers trades wall-clock time
+	// only, never reproducibility.
 	Workers int
 	// Obs, when non-nil, receives restart telemetry: searches started,
 	// per-visit iteration grants, doubling passes, adaptive swaps, and

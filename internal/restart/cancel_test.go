@@ -172,3 +172,49 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 		})
 	}
 }
+
+// quitSearch is a slowSearch that, when quit is set, returns half of
+// its first grant unfinished, as a search.Run does when its own
+// context is cancelled.
+type quitSearch struct {
+	slowSearch
+	quit bool
+}
+
+func (q *quitSearch) Step(budget int64) (int64, bool) {
+	if q.quit {
+		q.quit = false
+		q.total.Add(budget / 2)
+		return budget / 2, false
+	}
+	return q.slowSearch.Step(budget)
+}
+
+// TestTreeEarlyReturnCancels drives the tree strategies with a search
+// that returns early unfinished under a strategy context that is never
+// cancelled, as when only the search's own context was. Both executors
+// must treat that as a cancellation: stop, report Cancelled, and count
+// exactly the iterations executed.
+func TestTreeEarlyReturnCancels(t *testing.T) {
+	const budget = 100_000
+	for _, tc := range cancellableStrategies() {
+		if _, ok := tc.s.(*Tree); !ok {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			var total atomic.Int64
+			f := func(id uint64) search.Search {
+				// Search 5 first steps in the third pass.
+				return &quitSearch{slowSearch: slowSearch{total: &total, cost: float64(id%7) + 1}, quit: id == 5}
+			}
+			res := tc.s.Run(f, budget)
+			if !res.Cancelled || res.Solved {
+				t.Errorf("Cancelled = %v, Solved = %v, want a cancelled run: %+v", res.Cancelled, res.Solved, res)
+			}
+			if res.Iterations != total.Load() || res.Iterations >= budget {
+				t.Errorf("accounting: result reports %d iterations, searches consumed %d (budget %d)",
+					res.Iterations, total.Load(), budget)
+			}
+		})
+	}
+}

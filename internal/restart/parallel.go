@@ -61,12 +61,18 @@ func (p *ParallelNaive) RunContext(ctx context.Context, f search.Factory, budget
 	}
 	outcomes := make([]outcome, p.Workers)
 
+	// The searches are made here, in id order, so the factory is never
+	// called from two goroutines at once (the search.Factory contract).
+	runs := make([]search.Search, p.Workers)
+	for w := range runs {
+		runs[w] = f(uint64(w))
+	}
+
 	var wg sync.WaitGroup
 	wg.Add(p.Workers)
-	for w := 0; w < p.Workers; w++ {
-		go func(w int) {
+	for w, run := range runs {
+		go func() {
 			defer wg.Done()
-			run := f(uint64(w))
 			for ctx.Err() == nil {
 				grant := pool.acquire(chunk)
 				if grant <= 0 {
@@ -87,7 +93,7 @@ func (p *ParallelNaive) RunContext(ctx context.Context, f search.Factory, budget
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

@@ -3,6 +3,8 @@ package restart
 import (
 	"testing"
 	"time"
+
+	"stochsyn/internal/search"
 )
 
 func TestParallelNaiveSolves(t *testing.T) {
@@ -120,5 +122,27 @@ func TestRegistryWorkersSpec(t *testing.T) {
 	// Name is executor-independent: comparisons treat both the same.
 	if got := MustNew("adaptive:500:0:8").Name(); got != "adaptive" {
 		t.Errorf("concurrent adaptive name = %q", got)
+	}
+}
+
+// TestParallelNaiveFactoryCalledInOrder pins the search.Factory
+// contract for the naive pool: its searches are made on the calling
+// goroutine, in id order, before any worker starts. Under -race the
+// unsynchronized append is itself the check for concurrent calls.
+func TestParallelNaiveFactoryCalledInOrder(t *testing.T) {
+	var ids []uint64
+	base := fixedFactory(-1)
+	f := func(id uint64) search.Search {
+		ids = append(ids, id)
+		return base(id)
+	}
+	(&ParallelNaive{Workers: 4, Chunk: 64}).Run(f, 10_000)
+	if len(ids) != 4 {
+		t.Fatalf("factory called %d times, want 4", len(ids))
+	}
+	for i, id := range ids {
+		if id != uint64(i) {
+			t.Fatalf("call %d got id %d; ids %v", i, id, ids)
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package restart
 
 import (
+	"container/heap"
 	"context"
-	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stochsyn/internal/search"
@@ -17,37 +15,44 @@ import (
 // is required to produce a bit-identical Result for any deterministic
 // factory, and treeexec_test.go enforces that seed for seed.
 //
-// # Why the schedule is deterministic
+// # One dataflow schedule over the whole run
 //
-// The doubling pass of Figures 8/9 visits the tree in depth-first
-// post-order. Two observations make a deterministic parallel execution
-// possible:
+// The sequential run is a sequence of operations on tree nodes: every
+// Step grant of every doubling pass and, under Adaptive, every
+// child/parent swap, in the order treeRun.visit performs them. Two
+// observations make a deterministic parallel execution possible:
 //
-//  1. The iteration grant of every visit is positional: it depends
-//     only on the tree shape, node labels, and the remaining budget —
-//     never on search costs. Adaptive swaps exchange the searches
-//     attached to two nodes, not the nodes' labels. So the entire
-//     pass schedule (which node steps, for how many iterations, in
-//     what post-order position, and which fresh leaves are created
-//     with which factory ids) can be planned up front on one
-//     goroutine, before any search steps.
+//  1. The sequence is positional. Grants depend only on the tree
+//     shape, the node labels and the remaining budget, never on
+//     search costs, and a swap exchanges the searches of two nodes,
+//     not their labels. So one planner goroutine can emit the
+//     sequence in order before the searches it names have run: it
+//     calls the factory in id order, applies the MaxSearches cap and
+//     the budget wall, and emits the tree_pass and restart_fire
+//     events exactly as the sequential traversal would.
 //
-//  2. Search state only flows between subtrees at the post-order swap
-//     points. A node's own run uses whatever search sits at the node
-//     after all of its children's swaps, and a child's swap decision
-//     reads the parent's current search; sibling subtrees are
-//     otherwise independent. Executing sibling subtrees concurrently
-//     and applying the parent swaps at the join point, in child
-//     order, therefore reproduces the sequential interleaving
-//     exactly.
+//  2. Search state passes between operations only through tree
+//     nodes. A step advances its node's search; a swap compares and
+//     exchanges the searches of a child and its parent. An operation
+//     that waits for the previous operation on each node it touches
+//     therefore sees exactly the state the sequential run shows it.
 //
-// Early solves are reconciled by post-order position: workers keep a
-// monotonically decreasing "first finished step" index, steps beyond
-// it are skipped, and the Result is reconstructed from the earliest
-// finishing step — the one the sequential oracle would have stopped
-// at. Any work executed past that point is speculation; it burns
-// wall-clock on otherwise idle cores but never leaks into the Result
-// (speculative iterations are reported separately in ExecStats).
+// The planner links every operation to those predecessors, and a
+// fixed pool of Workers goroutines runs ready operations, lowest
+// sequential index first. There is no barrier between passes: the
+// planner runs at most one pass ahead of the oldest unfinished pass,
+// so the next pass's fresh leaves and lower subtrees run beside the
+// current pass's upper steps, including the root's label*t0 step.
+//
+// Early solves are reconciled by sequential index: the executor keeps
+// the earliest step observed to finish its search, which can only
+// move earlier. Operations after it are never started, and the run is
+// over once every operation before it has completed. The Result is
+// then the sequential one, rebuilt from the winning step's plan
+// record. Work done after that step (speculative leaves and steps of
+// its pass or of the pass planned ahead) burns otherwise idle cores
+// but never leaks into the Result; ExecStats reports it separately,
+// and steps still in flight are stopped at their next chunk boundary.
 //
 // The executor assumes the search.Search contract that Step consumes
 // its full budget unless the search finishes; both search.Run and
@@ -61,16 +66,17 @@ import (
 type ExecStats struct {
 	// Workers is the size of the worker pool used.
 	Workers int
-	// Passes is the number of doubling passes executed, counting the
-	// initial root run as the first pass.
+	// Passes is the number of doubling passes planned, counting the
+	// initial root run as the first pass. On an early solve it can
+	// include the pass after the winner's, planned ahead.
 	Passes int
-	// SearchesLive is the number of searches alive in the tree at
-	// exit. On an early solve this can exceed Result.Searches: leaves
-	// planned after the winning step are speculative.
+	// SearchesLive is the number of searches created. On an early
+	// solve this can exceed Result.Searches: leaves planned after the
+	// winning step, in its pass or the next, are speculative.
 	SearchesLive int
-	// Steps and Skipped count Step dispatches actually executed and
-	// steps skipped because an earlier post-order step had already
-	// finished.
+	// Steps counts planned steps executed; Skipped counts planned
+	// steps never started because an earlier step had already
+	// finished its search or the run was cancelled.
 	Steps, Skipped int64
 	// BudgetSpent is the number of iterations actually consumed by
 	// Step calls, including speculative work past the winning step.
@@ -79,7 +85,8 @@ type ExecStats struct {
 	// (nonzero only when a search finishes early).
 	BudgetStranded int64
 	// Speculated is the part of BudgetSpent that the sequential
-	// oracle would not have run (BudgetSpent - Result.Iterations).
+	// oracle would not have run (BudgetSpent - Result.Iterations):
+	// steps after the winning one, in its pass or the next.
 	Speculated int64
 	// Swaps is the number of adaptive parent swaps performed.
 	Swaps int64
@@ -88,133 +95,137 @@ type ExecStats struct {
 	Utilization float64
 }
 
-// planStep is one scheduled Step call of a doubling pass. The plan
-// fields are written single-threaded before execution; the exec
-// fields are written by the one goroutine that runs the step and read
-// only after the pass joins.
-type planStep struct {
-	node  *treeNode
-	grant int64 // iterations to request (0 when the budget wall was hit)
-	index int   // post-order position within the pass
-	// searchesAfter is the sequential Result.Searches value at the
-	// moment this step completes (counting the leaf creations that
-	// precede it in post-order).
+// op is one operation of the sequential schedule: a Step of node's
+// search or, when parent is set, the adaptive swap of node's search
+// with its parent's. The plan fields are written by the planner before
+// the op is published; waits, next and finished are guarded by
+// treeExec.mu; the outcome fields are written by the one worker that
+// runs the op and read under mu or after the workers have exited.
+type op struct {
+	index  int // position in the sequential schedule of the whole run
+	node   *treeNode
+	parent *treeNode
+	grant  int64
+	// before is the sequential Result.Iterations before this step and
+	// searchesAfter its Result.Searches once the step completes
+	// (counting the leaf creations that precede it).
+	before        int64
 	searchesAfter int
-	// terminal marks the step at which the sequential pass ends with
-	// an exhausted budget; its post-run swap must not be applied.
-	terminal bool
+	deps          [2]*op // previous ops on node and parent; planner only
 
-	s       search.Search // the search actually stepped
+	waits    int   // deps not yet finished
+	next     []*op // ops waiting on this one
+	finished bool
+
 	used    int64
-	done    bool
-	skipped bool
+	done    bool // the step finished its search
+	cut     bool // the step returned early under a cancelled context
+	swapped bool
+	s       search.Search // the search that finished
+	busy    time.Duration
 }
 
-// execNode mirrors one doubling-tree node for a single pass: the
-// child tasks to run (and then swap into this node, in order) before
-// the node's own step.
-type execNode struct {
-	node *treeNode
-	kids []*execNode
-	step *planStep // nil when the pass's budget ran out before this visit
+// opHeap is the ready queue, a min-heap on sequential index.
+type opHeap []*op
+
+func (h opHeap) Len() int           { return len(h) }
+func (h opHeap) Less(i, j int) bool { return h[i].index < h[j].index }
+func (h opHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *opHeap) Push(x any)        { *h = append(*h, x.(*op)) }
+func (h *opHeap) Pop() any {
+	old := *h
+	o := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return o
 }
 
 // treeExec carries the state of one concurrent strategy execution.
 type treeExec struct {
 	cfg     *Tree
 	factory search.Factory
-	ctx     context.Context
 	budget  int64
+	// run is the caller's context, also cancelled by stop once the
+	// outcome is fixed, so speculative steps end early.
+	run  context.Context
+	stop context.CancelFunc
 
-	// Planner state (single goroutine).
-	planned  int64 // iterations scheduled so far == sequential res.Iterations
-	searches int   // factory calls so far == sequential res.Searches
-	stopped  bool  // the current pass hit the budget wall
+	// Planner state (the calling goroutine only).
+	planned  int64             // iterations scheduled so far == sequential res.Iterations
+	searches int               // factory calls so far == sequential res.Searches
+	stopped  bool              // the budget wall was reached
+	nops     int               // ops planned so far
+	stepOps  int64             // step ops planned so far
+	last     map[*treeNode]*op // the latest op planned on each node
+	pending  []*op             // planned but not yet published
 
-	// Executor state.
-	sem     chan struct{} // bounded worker pool: one slot per Step call
-	minDone atomic.Int64  // earliest post-order index observed finished
-	pool    atomic.Int64  // unclaimed budget (telemetry; grants are claimed from it)
-	spent   atomic.Int64  // iterations consumed by executed steps
-	steps   atomic.Int64
-	skipped atomic.Int64
-	swaps   atomic.Int64
-	busy    atomic.Int64 // cumulative Step nanoseconds across workers
+	mu        sync.Mutex
+	cond      *sync.Cond // signals new ready ops, finished ops and the end of the run
+	ready     opHeap
+	active    []*op // the op each worker is running, or nil
+	published int
+	planning  bool
+	cancelled bool // the caller's context (or a step returning early) ended the run
+	over      bool // the outcome is fixed; workers exit
+	win       *op  // the earliest step that finished its search
+	steps     int64
+	spent     int64
+	swaps     int64
+	busy      time.Duration
 }
 
-// runConcurrent executes the tree strategy on a bounded worker pool.
-// Called from Tree.RunContext when Workers > 1. Cancellation is
-// observed at step dispatch (pending steps are skipped) and inside
-// in-flight steps (chunked stepping); a cancelled execution settles
-// with exact spent-iteration accounting instead of the planner's
-// totals.
+// runConcurrent executes the tree strategy on a fixed pool of Workers
+// goroutines while the calling goroutine plans. Called from
+// Tree.RunContext when Workers > 1. Cancellation is observed at
+// dispatch (pending ops are never started) and inside in-flight steps
+// (chunked stepping); a cancelled execution settles with exact
+// spent-iteration accounting instead of the planner's totals.
 func (t *Tree) runConcurrent(ctx context.Context, f search.Factory, budget int64) Result {
-	workers := t.Workers
-	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	run, stop := context.WithCancel(ctx)
+	defer stop()
 	e := &treeExec{
-		cfg:     t,
-		factory: f,
-		ctx:     ctx,
-		budget:  budget,
-		sem:     make(chan struct{}, workers),
+		cfg:      t,
+		factory:  f,
+		budget:   budget,
+		run:      run,
+		stop:     stop,
+		last:     make(map[*treeNode]*op),
+		active:   make([]*op, t.Workers),
+		planning: true,
 	}
-	e.minDone.Store(math.MaxInt64)
-	e.pool.Store(budget)
+	e.cond = sync.NewCond(&e.mu)
+	stopWatch := context.AfterFunc(ctx, e.cancel)
+	defer stopWatch()
 	start := time.Now()
 
-	var res Result
-	passes := 0
-
-	// The initial tree is a single 1-labeled node run for t0; treat it
-	// as a one-step pass.
-	passes++
-	e.notePass(passes)
-	root := e.newLeaf()
-	var steps []*planStep
-	rootTask := &execNode{node: root}
-	rootTask.step = e.planStep(root, 1, &steps)
-	e.execSubtree(rootTask)
-	finished := e.settle(steps, 0, &res)
-
-	// Doubling passes until the budget is exhausted, a search
-	// finishes, or the context is cancelled. Each pass is planned in
-	// full (deterministically, on this goroutine), then executed
-	// concurrently, then settled.
-	for !finished && e.planned < e.budget && ctx.Err() == nil {
-		e.stopped = false
-		prev := e.planned
-		passes++
-		e.notePass(passes)
-		var passSteps []*planStep
-		task := e.planPass(root, &passSteps)
-		e.execSubtree(task)
-		finished = e.settle(passSteps, prev, &res)
+	// Workers exit only once the run is over, so the Wait below is
+	// also the wait for the outcome.
+	var wg sync.WaitGroup
+	wg.Add(t.Workers)
+	for w := range t.Workers {
+		go func() {
+			defer wg.Done()
+			e.work(w)
+		}()
 	}
-	if !res.Solved && !res.Cancelled && ctx.Err() != nil {
-		// Cancelled between passes: the last settled pass ran to
-		// completion, so its accounting stands; only flag the outcome.
-		res.Cancelled = true
-	}
+	passes := e.plan()
+	wg.Wait()
+	res := e.result()
 
 	wall := time.Since(start)
 	stats := &ExecStats{
-		Workers:        workers,
+		Workers:        t.Workers,
 		Passes:         passes,
 		SearchesLive:   e.searches,
-		Steps:          e.steps.Load(),
-		Skipped:        e.skipped.Load(),
-		BudgetSpent:    e.spent.Load(),
-		BudgetStranded: budget - e.spent.Load(),
-		Speculated:     e.spent.Load() - res.Iterations,
-		Swaps:          e.swaps.Load(),
-	}
-	if stats.BudgetStranded < 0 {
-		stats.BudgetStranded = 0
+		Steps:          e.steps,
+		Skipped:        e.stepOps - e.steps,
+		BudgetSpent:    e.spent,
+		BudgetStranded: max(budget-e.spent, 0),
+		Speculated:     e.spent - res.Iterations,
+		Swaps:          e.swaps,
 	}
 	if wall > 0 {
-		stats.Utilization = float64(e.busy.Load()) / (float64(wall) * float64(workers))
+		stats.Utilization = float64(e.busy) / (float64(wall) * float64(t.Workers))
 	}
 	res.Exec = stats
 	if h := t.Obs; h != nil {
@@ -227,6 +238,54 @@ func (t *Tree) runConcurrent(ctx context.Context, f search.Factory, budget int64
 		}
 	}
 	return res
+}
+
+// result rebuilds the sequential Result once the workers have exited.
+func (e *treeExec) result() Result {
+	// Unsolved, every planned grant was consumed, so the sequential
+	// totals are the planner's.
+	res := Result{Iterations: e.planned, Searches: e.searches}
+	if w := e.win; w != nil {
+		// The earliest finishing step is where the sequential run
+		// stops. Every step before it ran its full grant (none
+		// finished, and the Search contract makes Step consume its
+		// whole grant otherwise); the winner adds what it used.
+		res = Result{Solved: true, Winner: w.s, Iterations: w.before + w.used, Searches: w.searchesAfter}
+	}
+	if e.cancelled {
+		// Cancellation forfeits the bit-identical replay (steps may
+		// have been skipped or cut short mid-grant), so report the
+		// exact work performed instead. A solve that raced the
+		// cancellation still wins.
+		res.Iterations = e.spent
+		res.Cancelled = !res.Solved
+	}
+	return res
+}
+
+// plan emits the sequential schedule pass by pass and returns the
+// number of passes begun. It runs on the calling goroutine, so the
+// factory, the trace events and the grant histogram see the
+// sequential order.
+func (e *treeExec) plan() int {
+	defer e.endPlanning()
+	// The initial tree is a single 1-labeled node run for t0; it is
+	// the first pass.
+	passes := 1
+	e.notePass(passes)
+	root := e.newLeaf()
+	e.step(root, 1)
+	// ends[p] is the number of ops in passes 1..p. Pass p+1 is planned
+	// once pass p-1 has finished: at most one pass ahead of the oldest
+	// unfinished one.
+	ends := []int{0, e.publish()}
+	for !e.stopped && e.await(ends[passes-1]) {
+		passes++
+		e.notePass(passes)
+		e.visit(root, nil)
+		ends = append(ends, e.publish())
+	}
+	return passes
 }
 
 // notePass mirrors treeRun.notePass for the concurrent executor; it
@@ -268,212 +327,277 @@ func (e *treeExec) newLeaf() *treeNode {
 	return &treeNode{label: 1, s: s}
 }
 
-// planStep schedules one Step call, mirroring treeRun.run's budget
-// arithmetic: the grant is clipped to the remaining budget, and a
-// clipped (or zero) grant ends the pass.
-func (e *treeExec) planStep(n *treeNode, units int64, steps *[]*planStep) *planStep {
-	iters := units * e.cfg.T0
-	if remaining := e.budget - e.planned; iters >= remaining {
-		iters = remaining
-		e.stopped = true
-	}
-	if iters < 0 {
-		iters = 0
-	}
-	if h := e.cfg.Obs; h != nil && iters > 0 {
-		h.CutoffIters.Observe(float64(iters))
-	}
-	e.planned += iters
-	st := &planStep{
-		node:          n,
-		grant:         iters,
-		index:         len(*steps),
-		searchesAfter: e.searches,
-		terminal:      e.stopped,
-	}
-	*steps = append(*steps, st)
-	return st
-}
-
-// planPass builds the execution DAG for one doubling pass over the
-// subtree rooted at n, mirroring treeRun.visit: pre-existing leaves
-// sprout up to two fresh 1-labeled leaves (stopping at the search
-// cap), children are visited in order, and the node itself then runs
-// for label*t0 and doubles its label. Planning stops at the budget
-// wall exactly where the sequential traversal would unwind.
-func (e *treeExec) planPass(n *treeNode, steps *[]*planStep) *execNode {
-	en := &execNode{node: n}
+// visit plans one doubling pass over the subtree rooted at n,
+// mirroring treeRun.visit op for op: a pre-existing leaf sprouts up
+// to two fresh 1-labeled leaves (stopping at the search cap), each
+// stepped for t0 and then swapped with n; children are visited in
+// order; n then steps for label*t0, doubles its label and swaps with
+// parent. It returns false where the sequential traversal unwinds at
+// the budget wall.
+func (e *treeExec) visit(n, parent *treeNode) bool {
 	if len(n.children) == 0 {
-		for i := 0; i < 2 && !e.stopped; i++ {
+		for i := 0; i < 2; i++ {
 			if e.cfg.MaxSearches > 0 && e.searches >= e.cfg.MaxSearches {
 				break
 			}
 			c := e.newLeaf()
 			n.children = append(n.children, c)
-			kid := &execNode{node: c}
-			kid.step = e.planStep(c, 1, steps)
-			en.kids = append(en.kids, kid)
+			if !e.step(c, 1) {
+				return false
+			}
+			e.swap(c, n)
 		}
 	} else {
 		for _, c := range n.children {
-			if e.stopped {
-				break
+			if !e.visit(c, n) {
+				return false
 			}
-			en.kids = append(en.kids, e.planPass(c, steps))
 		}
 	}
-	if e.stopped {
-		return en // the sequential pass unwinds without running n
+	if !e.step(n, n.label) {
+		return false
 	}
-	en.step = e.planStep(n, n.label, steps)
 	n.label *= 2
-	return en
-}
-
-// execSubtree runs one pass subtree: child tasks concurrently, then
-// their parent swaps in child order at the join point, then the
-// node's own step. The WaitGroup join gives the swap reads a
-// happens-before edge over every child step.
-func (e *treeExec) execSubtree(en *execNode) {
-	if len(en.kids) > 0 {
-		if rest := en.kids[1:]; len(rest) > 0 {
-			var wg sync.WaitGroup
-			wg.Add(len(rest))
-			for _, k := range rest {
-				go func(k *execNode) {
-					defer wg.Done()
-					e.execSubtree(k)
-				}(k)
-			}
-			e.execSubtree(en.kids[0]) // first child on this goroutine
-			wg.Wait()
-		} else {
-			e.execSubtree(en.kids[0])
-		}
-		for _, k := range en.kids {
-			// A child whose visit did not complete (budget wall) is
-			// not swapped, matching the sequential unwind.
-			if k.step == nil || k.step.terminal {
-				continue
-			}
-			e.applySwap(k.node, en.node)
-		}
-	}
-	if en.step != nil {
-		e.runStep(en.step)
-	}
-}
-
-// applySwap applies the adaptive rule at a join point; it is always
-// invoked by the single goroutine that owns the parent's subtree at
-// that moment, so the pointer exchange needs no lock.
-func (e *treeExec) applySwap(n, parent *treeNode) {
-	if !e.cfg.Adaptive || parent == nil {
-		return
-	}
-	if parent.s.Cost() > n.s.Cost() {
-		parent.s, n.s = n.s, parent.s
-		e.swaps.Add(1)
-		if h := e.cfg.Obs; h != nil {
-			h.Swaps.Inc()
-			if h.Tracer != nil {
-				h.Tracer.Emit("tree_promote", map[string]any{
-					"strategy": e.cfg.Name(),
-					"cost":     parent.s.Cost(), "displaced": n.s.Cost(),
-				})
-			}
-		}
-	}
-}
-
-// runStep claims a worker slot and executes one scheduled Step. Steps
-// whose post-order index lies beyond an already-finished step are
-// skipped: their outcome cannot change the reconstructed Result
-// (minDone only ever decreases, so everything at or before the final
-// winner always executes with the exact sequential search state).
-// Steps pending when the context is cancelled are skipped outright;
-// in-flight steps observe the cancellation through chunked stepping.
-func (e *treeExec) runStep(st *planStep) {
-	if st.grant <= 0 {
-		return
-	}
-	if int64(st.index) > e.minDone.Load() || e.ctx.Err() != nil {
-		st.skipped = true
-		e.skipped.Add(1)
-		return
-	}
-	e.sem <- struct{}{}
-	if int64(st.index) > e.minDone.Load() || e.ctx.Err() != nil { // re-check after the wait
-		<-e.sem
-		st.skipped = true
-		e.skipped.Add(1)
-		return
-	}
-	st.s = st.node.s
-	e.pool.Add(-st.grant)
-	begin := time.Now()
-	used, done, _ := stepCtx(e.ctx, st.s, st.grant)
-	e.busy.Add(int64(time.Since(begin)))
-	<-e.sem
-
-	st.used, st.done = used, done
-	e.steps.Add(1)
-	e.spent.Add(used)
-	if returned := st.grant - used; returned > 0 {
-		e.pool.Add(returned)
-	}
-	if done {
-		for {
-			cur := e.minDone.Load()
-			if int64(st.index) >= cur || e.minDone.CompareAndSwap(cur, int64(st.index)) {
-				break
-			}
-		}
-	}
-}
-
-// settle reconstructs the sequential Result for one executed pass and
-// reports whether the strategy run is over. prev is the cumulative
-// iteration count before the pass.
-func (e *treeExec) settle(steps []*planStep, prev int64, res *Result) bool {
-	j := e.minDone.Load()
-	if cancelled := e.ctx.Err() != nil; cancelled {
-		// Cancellation forfeits the bit-identical replay (steps may
-		// have been skipped or cut short mid-grant), so report the
-		// exact work performed instead of the planner's totals. A
-		// solve that raced the cancellation still wins.
-		res.Iterations = e.spent.Load()
-		res.Searches = e.searches
-		if j != math.MaxInt64 {
-			win := steps[j]
-			res.Solved = true
-			res.Winner = win.s
-			res.Searches = win.searchesAfter
-		} else {
-			res.Cancelled = true
-		}
-		return true
-	}
-	if j == math.MaxInt64 {
-		// No search finished: every scheduled grant was consumed, so
-		// the sequential totals are the planner's.
-		res.Iterations = e.planned
-		res.Searches = e.searches
-		return e.planned >= e.budget
-	}
-	// The earliest finishing step in post-order is where the
-	// sequential oracle stops. Steps before it all executed in full
-	// (none finished, and the Search contract makes Step consume its
-	// whole grant otherwise); the winner contributes its actual used
-	// count.
-	win := steps[j]
-	iters := prev
-	for _, st := range steps[:j] {
-		iters += st.used
-	}
-	res.Iterations = iters + win.used
-	res.Searches = win.searchesAfter
-	res.Solved = true
-	res.Winner = win.s
+	e.swap(n, parent)
 	return true
+}
+
+// step plans a Step of n for units*t0 iterations, mirroring
+// treeRun.run's budget arithmetic: the grant is clipped to the
+// remaining budget, and a grant that reaches the budget wall ends the
+// run. It returns false at the wall.
+func (e *treeExec) step(n *treeNode, units int64) bool {
+	iters := units * e.cfg.T0
+	if remaining := e.budget - e.planned; iters >= remaining {
+		iters = max(remaining, 0)
+		e.stopped = true
+	}
+	if iters > 0 {
+		if h := e.cfg.Obs; h != nil {
+			h.CutoffIters.Observe(float64(iters))
+		}
+		e.add(&op{node: n, grant: iters, before: e.planned, searchesAfter: e.searches})
+		e.planned += iters
+		e.stepOps++
+	}
+	return !e.stopped
+}
+
+// swap plans the adaptive rule for n and its parent (none for the
+// root, or under parallel Luby).
+func (e *treeExec) swap(n, parent *treeNode) {
+	if e.cfg.Adaptive && parent != nil {
+		e.add(&op{node: n, parent: parent})
+	}
+}
+
+// add numbers o and makes it wait for the previous op on each node it
+// touches.
+func (e *treeExec) add(o *op) {
+	o.index = e.nops
+	e.nops++
+	o.deps[0], e.last[o.node] = e.last[o.node], o
+	if o.parent != nil {
+		o.deps[1], e.last[o.parent] = e.last[o.parent], o
+	}
+	e.pending = append(e.pending, o)
+}
+
+// publish hands the pending ops to the workers and returns the number
+// of ops published so far.
+func (e *treeExec) publish() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, o := range e.pending {
+		for _, d := range o.deps {
+			if d != nil && !d.finished {
+				d.next = append(d.next, o)
+				o.waits++
+			}
+		}
+		o.deps = [2]*op{} // finished ops must not stay reachable
+		if o.waits == 0 {
+			heap.Push(&e.ready, o)
+		}
+	}
+	e.published += len(e.pending)
+	e.pending = e.pending[:0]
+	e.cond.Broadcast()
+	return e.published
+}
+
+// await blocks until every op before limit has finished and reports
+// whether planning should go on: it stops once the run is over, a
+// search has finished or the context is cancelled.
+func (e *treeExec) await(limit int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.live() && e.lowest() < limit {
+		e.cond.Wait()
+	}
+	return e.live()
+}
+
+// live reports whether the run may still need more ops. Called with
+// mu held.
+func (e *treeExec) live() bool { return !e.over && !e.cancelled && e.win == nil }
+
+// endPlanning records that the planner has stopped.
+func (e *treeExec) endPlanning() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.planning = false
+	e.checkOver()
+}
+
+// cancel marks the run cancelled by the caller's context, unless its
+// outcome is already fixed.
+func (e *treeExec) cancel() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.over {
+		e.cancelled = true
+		e.checkOver()
+		e.cond.Broadcast()
+	}
+}
+
+// work is one pool worker: it runs ready ops, lowest index first,
+// until the run is over.
+func (e *treeExec) work(slot int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for {
+		for !e.over && len(e.ready) == 0 {
+			e.cond.Wait()
+		}
+		if e.over {
+			return
+		}
+		o := heap.Pop(&e.ready).(*op)
+		if e.cancelled || (e.win != nil && o.index > e.win.index) {
+			e.checkOver() // never started; it may have been the last obstacle
+			continue
+		}
+		e.active[slot] = o
+		e.mu.Unlock()
+		e.exec(o)
+		e.mu.Lock()
+		e.active[slot] = nil
+		e.finish(o)
+	}
+}
+
+// exec runs one op outside the lock. Its predecessors have finished
+// and its successors wait for it, so it owns the searches it touches.
+func (e *treeExec) exec(o *op) {
+	if o.parent != nil {
+		o.swapped = e.applySwap(o.node, o.parent)
+		return
+	}
+	s := o.node.s
+	begin := time.Now()
+	o.used, o.done, o.cut = stepCtx(e.run, s, o.grant)
+	o.busy = time.Since(begin)
+	if o.done {
+		o.s = s
+	}
+}
+
+// applySwap applies the adaptive rule: swap the child's search with
+// the parent's if the parent's cost is higher.
+func (e *treeExec) applySwap(n, parent *treeNode) bool {
+	if parent.s.Cost() <= n.s.Cost() {
+		return false
+	}
+	parent.s, n.s = n.s, parent.s
+	if h := e.cfg.Obs; h != nil {
+		h.Swaps.Inc()
+		if h.Tracer != nil {
+			h.Tracer.Emit("tree_promote", map[string]any{
+				"strategy": e.cfg.Name(),
+				"cost":     parent.s.Cost(), "displaced": n.s.Cost(),
+			})
+		}
+	}
+	return true
+}
+
+// finish records a completed op and releases the ops waiting on it.
+// Called with mu held.
+func (e *treeExec) finish(o *op) {
+	o.finished = true
+	if o.parent == nil {
+		e.steps++
+		e.spent += o.used
+		e.busy += o.busy
+		if o.done && (e.win == nil || o.index < e.win.index) {
+			e.win = o
+		}
+		if o.cut && !e.over {
+			e.cancelled = true
+		}
+	} else if o.swapped {
+		e.swaps++
+	}
+	for _, n := range o.next {
+		if n.waits--; n.waits == 0 {
+			heap.Push(&e.ready, n)
+		}
+	}
+	o.next = nil
+	e.checkOver()
+	e.cond.Broadcast()
+}
+
+// lowest returns the index of the earliest op that is ready or
+// running, or the number published when there is none. An op waits
+// only on earlier ops, and only ops after the winning step (or after
+// a cancellation) are left unstarted, so until then this is the
+// earliest unfinished op. Called with mu held.
+func (e *treeExec) lowest() int {
+	low := e.published
+	if len(e.ready) > 0 {
+		low = e.ready[0].index
+	}
+	for _, o := range e.active {
+		if o != nil && o.index < low {
+			low = o.index
+		}
+	}
+	return low
+}
+
+// idle reports whether no worker is running an op. Called with mu
+// held.
+func (e *treeExec) idle() bool {
+	for _, o := range e.active {
+		if o != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// checkOver fixes the outcome once it can no longer change: after a
+// cancellation, when no op is running; after a solve, when every op
+// before the winning step has finished; otherwise when the planner has
+// stopped and every op has finished. Steps still in flight then see
+// their context cancelled. Called with mu held.
+func (e *treeExec) checkOver() {
+	if e.over {
+		return
+	}
+	switch {
+	case e.cancelled:
+		e.over = e.idle()
+	case e.win != nil:
+		e.over = e.lowest() > e.win.index
+	default:
+		e.over = !e.planning && e.lowest() == e.published
+	}
+	if e.over {
+		e.stop()
+		e.cond.Broadcast()
+	}
 }

@@ -1,9 +1,12 @@
 package restart
 
 import (
+	"context"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"stochsyn/internal/cost"
 	"stochsyn/internal/prog"
@@ -118,12 +121,21 @@ func TestTreeExecPropertyEquivalence(t *testing.T) {
 	f := func(seed uint64, budgetRaw uint16, adaptive bool) bool {
 		budget := int64(budgetRaw)%30_000 + 1
 		t0 := int64(seed%37) + 1
-		seq := (&Tree{T0: t0, Adaptive: adaptive}).Run(dynFactory(seed), budget)
-		conc := (&Tree{T0: t0, Adaptive: adaptive, Workers: 4}).Run(dynFactory(seed), budget)
-		return seq.Solved == conc.Solved &&
-			seq.Iterations == conc.Iterations &&
-			seq.Searches == conc.Searches &&
-			winnerID(seq) == winnerID(conc)
+		workers := 2 + int(seed/37%3)
+		maxSearches := 0 // no cap for half the seeds
+		if seed/111%2 == 1 {
+			maxSearches = int(seed/222%20) + 1
+		}
+		seq := (&Tree{T0: t0, Adaptive: adaptive, MaxSearches: maxSearches}).Run(dynFactory(seed), budget)
+		conc := (&Tree{T0: t0, Adaptive: adaptive, MaxSearches: maxSearches, Workers: workers}).
+			Run(dynFactory(seed), budget)
+		if seq.Solved != conc.Solved || seq.Iterations != conc.Iterations ||
+			seq.Searches != conc.Searches || winnerID(seq) != winnerID(conc) {
+			t.Logf("t0 %d, MaxSearches %d, workers %d: sequential %+v, concurrent %+v",
+				t0, maxSearches, workers, seq, conc)
+			return false
+		}
+		return true
 	}
 	cfg := &quick.Config{MaxCount: 60}
 	if testing.Short() {
@@ -235,5 +247,193 @@ func TestTreeExecRespectsBudget(t *testing.T) {
 		if res.Exec != nil && res.Exec.BudgetSpent > budget {
 			t.Errorf("budget %d: executor spent %d", budget, res.Exec.BudgetSpent)
 		}
+	}
+}
+
+// TestTreeExecFactoryCalledInOrder pins the search.Factory contract:
+// the concurrent executor calls the factory from one goroutine at a
+// time, in increasing id order, so a factory may record the searches
+// it makes without locking. Run under -race, the unsynchronized append
+// below is itself the check for the first half.
+func TestTreeExecFactoryCalledInOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    search.Factory
+	}{
+		{"early-solves", dynFactory(3)},
+		{"never-solves", fixedFactory(-1)},
+	} {
+		for _, adaptive := range []bool{false, true} {
+			var ids []uint64
+			f := func(id uint64) search.Search {
+				ids = append(ids, id)
+				return tc.f(id)
+			}
+			res := (&Tree{T0: 7, Adaptive: adaptive, Workers: 4}).Run(f, 50_000)
+			if len(ids) != res.Exec.SearchesLive {
+				t.Errorf("%s adaptive=%v: factory called %d times, SearchesLive %d",
+					tc.name, adaptive, len(ids), res.Exec.SearchesLive)
+			}
+			for i, id := range ids {
+				if id != uint64(i) {
+					t.Fatalf("%s adaptive=%v: call %d got id %d; ids %v", tc.name, adaptive, i, id, ids)
+				}
+			}
+		}
+	}
+}
+
+// stepCall names one Step call: the search's id and the call's
+// 1-based ordinal on that search.
+type stepCall struct {
+	id   uint64
+	call int
+}
+
+// gateSearch never finishes and costs the same as every other, so the
+// adaptive rule never swaps it. It reports each Step call on started
+// (when set) and blocks the call named gate until hold is closed.
+type gateSearch struct {
+	id      uint64
+	calls   int
+	started chan<- stepCall
+	gate    stepCall
+	hold    <-chan struct{}
+}
+
+func (g *gateSearch) Step(budget int64) (int64, bool) {
+	g.calls++
+	c := stepCall{g.id, g.calls}
+	if g.started != nil {
+		g.started <- c
+	}
+	if c == g.gate {
+		<-g.hold
+	}
+	return budget, false
+}
+
+func (g *gateSearch) Cost() float64 { return 1 }
+
+// TestTreeExecOverlapsPasses holds the root's pass-2 step open and
+// requires a pass-3 leaf step to start meanwhile: an operation waits
+// on the tree nodes it touches, not on the end of the previous pass.
+func TestTreeExecOverlapsPasses(t *testing.T) {
+	const budget = 64 // with t0 = 1, also the most Step calls a run makes
+	for _, adaptive := range []bool{false, true} {
+		// No swap ever moves a search, so search 0 stays at the root
+		// and its second Step call is the root's pass-2 step. Searches
+		// 1 and 2 sprout in pass 2; 3 and up in pass 3.
+		root2 := stepCall{id: 0, call: 2}
+		started := make(chan stepCall, budget)
+		hold := make(chan struct{})
+		f := func(id uint64) search.Search {
+			return &gateSearch{id: id, started: started, gate: root2, hold: hold}
+		}
+		done := make(chan Result, 1)
+		go func() { done <- (&Tree{T0: 1, Adaptive: adaptive, Workers: 2}).Run(f, budget) }()
+
+		held, overlapped := false, false
+		timeout := time.After(5 * time.Second)
+	wait:
+		for !overlapped {
+			select {
+			case c := <-started:
+				held = held || c == root2
+				overlapped = held && c.id >= 3
+			case <-timeout:
+				break wait
+			}
+		}
+		close(hold)
+		got := <-done
+		if !overlapped {
+			t.Errorf("adaptive=%v: no pass-3 step started while the root's pass-2 step was held (root held: %v)",
+				adaptive, held)
+		}
+		want := (&Tree{T0: 1, Adaptive: adaptive}).Run(func(id uint64) search.Search {
+			return &gateSearch{id: id}
+		}, budget)
+		requireEqualResults(t, "overlap", want, got)
+	}
+}
+
+// specSearch is a fake for the early-solve exit test. Search 3, the
+// first leaf of pass 3, finishes on its first step; search 4, the next
+// leaf, is speculative once 3 has won. With gating, 3 returns only
+// after 4's first step has started, and 4's step outlasts 3's, so the
+// run settles while a speculative step is in flight.
+type specSearch struct {
+	id          uint64
+	ran         int64
+	gated       bool
+	specStarted chan struct{}
+	specDone    chan struct{}
+}
+
+func (s *specSearch) Step(budget int64) (int64, bool) {
+	if s.id == 3 {
+		if s.gated {
+			<-s.specStarted
+		}
+		s.ran++
+		return 1, true
+	}
+	if s.id == 4 && s.gated && s.ran == 0 {
+		close(s.specStarted)
+		time.Sleep(20 * time.Millisecond)
+		close(s.specDone)
+	}
+	s.ran += budget
+	return budget, false
+}
+
+func (s *specSearch) Cost() float64 {
+	if s.id == 3 && s.ran > 0 {
+		return 0
+	}
+	return 1
+}
+
+// TestTreeExecEarlySolveExit solves while a speculative step is in
+// flight. RunContext must wait for that step, return the sequential
+// oracle's Result, and leave no goroutine behind.
+func TestTreeExecEarlySolveExit(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, adaptive := range []bool{false, true} {
+		want := (&Tree{T0: 1, Adaptive: adaptive}).Run(func(id uint64) search.Search {
+			return &specSearch{id: id}
+		}, 1000)
+		if w, ok := want.Winner.(*specSearch); !ok || w.id != 3 {
+			t.Fatalf("adaptive=%v: oracle winner %+v, want search 3", adaptive, want)
+		}
+		for i := 0; i < 3; i++ {
+			specStarted, specDone := make(chan struct{}), make(chan struct{})
+			got := (&Tree{T0: 1, Adaptive: adaptive, Workers: 2}).RunContext(context.Background(),
+				func(id uint64) search.Search {
+					return &specSearch{id: id, gated: true, specStarted: specStarted, specDone: specDone}
+				}, 1000)
+			select {
+			case <-specDone:
+			default:
+				t.Errorf("adaptive=%v: RunContext returned while a speculative step was running", adaptive)
+			}
+			if got.Solved != want.Solved || got.Iterations != want.Iterations || got.Searches != want.Searches {
+				t.Errorf("adaptive=%v: concurrent %+v, sequential %+v", adaptive, got, want)
+			}
+			if w, ok := got.Winner.(*specSearch); !ok || w.id != 3 {
+				t.Errorf("adaptive=%v: winner %+v, want search 3", adaptive, got.Winner)
+			}
+			if got.Exec.Speculated <= 0 {
+				t.Errorf("adaptive=%v: Speculated = %d, want the speculative step counted", adaptive, got.Exec.Speculated)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutine leak: %d before, %d after early-solve runs", before, n)
 	}
 }

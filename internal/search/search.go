@@ -87,7 +87,11 @@ type Search interface {
 // deterministic — strategy schedules and the parallel executors'
 // bit-identical replay both hinge on that. The searches it returns
 // must not share mutable state with one another (read-only data such
-// as the test suite or an OpSet may be shared).
+// as the test suite or an OpSet may be shared). Strategies call a
+// factory from one goroutine at a time, in increasing id order from
+// 0, even when they step its searches on several workers, so the
+// factory itself may keep unsynchronized state, such as a list of the
+// searches it made.
 type Factory func(id uint64) Search
 
 // CancelCheckEvery is the iteration interval at which Run.Step polls

@@ -20,11 +20,12 @@ import (
 // How the strategy is parallelized depends on what it is:
 //
 //   - The doubling-tree strategies ("adaptive", the default, and
-//     "pluby") run on the concurrent tree executor, which dispatches
-//     sibling subtree visits onto a bounded worker pool while
-//     reproducing the sequential schedule bit for bit — the Result
-//     (Solved, Iterations, Searches, Program) is identical to
-//     Synthesize's for the same Options.
+//     "pluby") run on the concurrent tree executor, which runs the
+//     tree's steps on a fixed worker pool, each waiting only on the
+//     tree nodes it touches, while reproducing the sequential
+//     schedule bit for bit — the Result (Solved, Iterations,
+//     Searches, Program) is identical to Synthesize's for the same
+//     Options.
 //   - "naive" fans out independent searches that draw iteration
 //     grants from a shared budget pool; which search wins may depend
 //     on goroutine scheduling, and Searches reports how many actually

@@ -176,13 +176,14 @@ type Options struct {
 	Seed uint64
 	// Workers sets the number of worker goroutines used to execute
 	// the doubling-tree strategies ("adaptive" and "pluby"): 0 or 1
-	// runs sequentially, larger values fan sibling subtree visits
-	// out across that many cores. The concurrent executor reproduces
-	// the sequential schedule bit for bit, so Results stay
-	// deterministic in Seed regardless of Workers. Strategies that
-	// are inherently sequential (naive, luby, fixed, exp,
-	// innerouter) ignore this knob under Synthesize; see
-	// SynthesizeParallel for the multi-core naive path.
+	// runs sequentially, larger values run the tree's steps on that
+	// many cores, each waiting only on the tree nodes it touches. The
+	// concurrent executor reproduces the sequential schedule bit for
+	// bit, so Results stay deterministic in Seed regardless of
+	// Workers. Strategies that are inherently sequential (naive,
+	// luby, fixed, exp, innerouter) ignore this knob under
+	// Synthesize; see SynthesizeParallel for the multi-core naive
+	// path.
 	Workers int
 	// EqSat enables rewrite-aware restarts (internal/eqsat): all
 	// searches of the run share an equality-saturation memo that (a)
