@@ -21,7 +21,7 @@ ci:
 	$(call gate,vet,$(GO) vet ./...)
 	$(call gate,fmt,$(MAKE) -s fmt)
 	$(call gate,lint,$(GO) run ./cmd/repolint)
-	$(call gate,fuzz,$(GO) test -run FuzzIncrementalEval ./internal/search/ && $(GO) test -run FuzzEqSat ./internal/eqsat/ && $(GO) test -run FuzzAbstractDomains ./internal/prog/analysis/absint/)
+	$(call gate,fuzz,$(GO) test -run FuzzIncrementalEval ./internal/search/ && $(GO) test -run FuzzOfPlanBlocks ./internal/cost/ && $(GO) test -run FuzzEqSat ./internal/eqsat/ && $(GO) test -run FuzzAbstractDomains ./internal/prog/analysis/absint/)
 	$(call gate,eqsat-smoke,$(GO) test -run TestEqSatSmoke -count=1 ./internal/eqsat/)
 	$(call gate,bench-prune,$(MAKE) -s bench-prune)
 	$(call gate,bench-eval,$(MAKE) -s bench-eval)
@@ -29,7 +29,7 @@ ci:
 	$(call gate,race,$(GO) test -race ./...)
 	$(call gate,exec-stress,$(MAKE) -s exec-stress)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz eqsat-smoke bench-prune bench-eval perfbench-test race exec-stress fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] eqsat-smoke bench-prune bench-eval perfbench-test[vet+test] race exec-stress fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -101,13 +101,13 @@ bench-eqsat:
 bench-prune:
 	$(GO) run ./cmd/bench -exp prune -budget 2000000
 
-# Run the benchmark harness's own tests. cmd/perfbench is a module of
-# its own (it replaces stochsyn with the repo root), so the root
-# `go test ./...` does not reach it; its loop replica drives
-# mutate/plan/cost/prog exactly like search.Run and must stay
-# bit-identical to it.
+# Vet and run the benchmark harness's own tests. cmd/perfbench is a
+# module of its own (it replaces stochsyn with the repo root), so the
+# root `go vet ./...` and `go test ./...` do not reach it; its loop
+# replica drives mutate/plan/cost/prog exactly like search.Run and must
+# stay bit-identical to it.
 perfbench-test:
-	cd cmd/perfbench && $(GO) test .
+	cd cmd/perfbench && $(GO) vet . && $(GO) test .
 
 # Boot synthd on an ephemeral port, submit a small SyGuS job through
 # `synth -remote`, and assert the server returns a solution.

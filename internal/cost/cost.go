@@ -222,77 +222,108 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 }
 
 // OfPlan is OfState specialized to the compiled plan engine: the same
-// chunked pulls, the same per-case summation order, and the same
-// abort decisions, with two plan-only savings. The tape runs through
-// direct calls (no interface dispatch, no per-chunk root reslicing —
-// the root column is resolved once), and the bound check runs once
-// per chunk instead of once per case. Per-case costs are
-// non-negative, so the partial sum is monotone: a sum that crosses
-// bound mid-chunk has still crossed it at the chunk boundary, the
-// same chunks get pulled either way, and the same +Inf comes back.
+// abort decisions, the same pulled cases and the same returned cost,
+// computed with less overhead per case. The tape runs through direct
+// calls (no interface dispatch, no per-chunk root reslicing — the root
+// column is resolved once), the desired outputs come from the engine's
+// dense target column, and the bound is checked once per tape run
+// instead of once per case. Per-case costs are non-negative, so the
+// partial sum is monotone: a sum that crosses bound mid-chunk has
+// still crossed it at the chunk boundary, the same chunks get pulled
+// either way, and the same +Inf comes back.
+//
+// The Hamming and IncorrectTests arms sum in an int (exact: every
+// partial sum is far below 2^53, so the final conversion equals the
+// per-case float adds of OfState) and run the tape in blocks sized by
+// the bound. lim is the largest partial sum that does not pass bound
+// (sumLimit). From a chunk boundary with partial sum d, the next
+// (lim-d)/maxPerCase cases cannot lift the sum past lim, so every
+// chunk-boundary check among them would pass; one tape run covers
+// them and ends at the first chunk boundary beyond, the first check
+// that could fail. The same chunks are pulled and the same checks
+// decide as with a check at every EvalChunk boundary. LogDiff sums
+// floats, whose per-case bound is not an integer step, and keeps one
+// tape run and one check per chunk.
+//
 // Trajectories and eval-work stats are bit-identical to OfState on
 // the same engine.
 func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
-	cases := e.Suite().Cases
-	n := len(cases)
+	n := e.Suite().Len()
 	root := e.ProposalRoot()[:n]
-	total := 0.0
+	want := e.Targets()[:n]
 	switch k {
 	case Hamming:
-		// Per-case distances are small integers, so accumulating them in
-		// an int and converting once per chunk is exact (every partial
-		// sum is far below 2^53) and bit-identical to the per-case
-		// float adds of OfState — it just trades EvalChunk int→float
-		// conversions and float adds for integer adds.
+		lim := sumLimit(bound, 64*n)
 		d := 0
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
+		for c0 := 0; c0 < n; {
+			c1 := blockEnd(c0, n, (lim-d)/64)
 			e.RunTape(c0, c1)
-			for c := c0; c < c1; c++ {
-				d += bits.Distance(root[c], cases[c].Output)
+			got, w := root[c0:c1], want[c0:c1]
+			for c, x := range got {
+				d += bits.Distance(x, w[c])
 			}
-			if total = float64(d); total > bound {
+			if d > lim {
 				return inf
 			}
+			c0 = c1
 		}
+		return float64(d)
 	case IncorrectTests:
+		lim := sumLimit(bound, n)
 		d := 0
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
+		for c0 := 0; c0 < n; {
+			c1 := blockEnd(c0, n, lim-d)
 			e.RunTape(c0, c1)
-			for c := c0; c < c1; c++ {
-				if root[c] != cases[c].Output {
+			got, w := root[c0:c1], want[c0:c1]
+			for c, x := range got {
+				if x != w[c] {
 					d++
 				}
 			}
-			if total = float64(d); total > bound {
+			if d > lim {
 				return inf
 			}
+			c0 = c1
 		}
+		return float64(d)
 	case LogDiff:
+		total := 0.0
 		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
+			c1 := min(c0+prog.EvalChunk, n)
 			e.RunTape(c0, c1)
 			for c := c0; c < c1; c++ {
-				total += bits.LogDiff(root[c], cases[c].Output)
+				total += bits.LogDiff(root[c], want[c])
 			}
 			if total > bound {
 				return inf
 			}
 		}
-	default:
-		panic("cost: invalid kind")
+		return total
 	}
-	return total
+	panic("cost: invalid kind")
+}
+
+// sumLimit returns the largest integer partial sum that does not pass
+// bound (float64(d) > bound exactly when d > sumLimit), clamped to
+// [-1, maxSum] where maxSum bounds every partial sum: -1 for a negative
+// bound (any sum passes it), maxSum for a bound no sum can pass,
+// +Inf, or NaN (which no comparison passes).
+func sumLimit(bound float64, maxSum int) int {
+	switch {
+	case !(bound < float64(maxSum)):
+		return maxSum
+	case bound < 0:
+		return -1
+	}
+	return int(bound) // 0 <= bound < maxSum: truncation is floor
+}
+
+// blockEnd returns the end of the tape run that starts at chunk
+// boundary c0 when the next s cases cannot pass the bound: the first
+// EvalChunk boundary more than s cases ahead, capped at n. A negative
+// s (sum limit -1, nothing summed yet) gives one chunk.
+func blockEnd(c0, n, s int) int {
+	return min(c0+(s/prog.EvalChunk+1)*prog.EvalChunk, n)
 }
 
 // Solves reports whether p produces the desired output on every case.

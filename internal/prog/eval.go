@@ -55,20 +55,23 @@ func evalOp(op Op, a, b uint64) uint64 {
 	case OpRor:
 		return mathbits.RotateLeft64(a, -int(b&63))
 	case OpEq:
+		v := uint64(0)
 		if a == b {
-			return 1
+			v = 1
 		}
-		return 0
+		return v
 	case OpUlt:
+		v := uint64(0)
 		if a < b {
-			return 1
+			v = 1
 		}
-		return 0
+		return v
 	case OpSlt:
+		v := uint64(0)
 		if int64(a) < int64(b) {
-			return 1
+			v = 1
 		}
-		return 0
+		return v
 
 	case OpNot:
 		return ^a

@@ -6,11 +6,15 @@ import (
 	"stochsyn/internal/testcase"
 )
 
-// EvalChunk is the case-block size of the incremental engine: dirty
-// value columns are recomputed EvalChunk suite cases at a time, so a
-// cost consumer that aborts early (bound exceeded) skips the remaining
-// blocks entirely while the per-column inner loops stay long enough to
-// amortize dispatch (and leave a seam for future vectorization).
+// EvalChunk is the granularity of the early cost abort: a cost
+// consumer checks its partial sum against the bound at EvalChunk case
+// boundaries and, once it has passed, pulls no further cases, so
+// CasesEvaluated counts whole chunks. The interpreted engine's
+// EvalRange pulls are also one chunk each, which keeps the per-column
+// inner loops long enough to amortize dispatch. It is not the plan
+// engine's tape-run size: cost.Kind.OfPlan runs the tape in blocks of
+// whole chunks sized by the bound, skipping only checks that could not
+// fail.
 const EvalChunk = 16
 
 // EvalStats counts the engine's work, exposing the reuse the

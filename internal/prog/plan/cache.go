@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"runtime"
 	"sync"
+	"weak"
 
 	"stochsyn/internal/prog"
 	"stochsyn/internal/testcase"
@@ -21,14 +23,6 @@ type recipe struct {
 	fused int64
 }
 
-// cacheKey identifies a program shape. The suite enters by pointer
-// identity: input facts are derived from the suite's cases, and a
-// search run evaluates against exactly one suite for its lifetime.
-type cacheKey struct {
-	suite *testcase.Suite
-	hash  uint64
-}
-
 // cacheEntry pairs the recipe with the exact shape it was compiled
 // from, so a hash collision degrades to a recompile instead of a
 // wrong tape.
@@ -41,14 +35,47 @@ type cacheEntry struct {
 // recipeCache amortizes full compiles across restarts and checkpoint
 // restores, which re-seed from identical or previously seen programs
 // constantly. Restart-tree searches reset thousands of times per
-// second, so this is a hot map; the bound keeps a pathological
-// never-repeating workload from growing it without limit.
+// second, so this is a hot map; the bound on shapes across all suites
+// keeps a pathological never-repeating workload from growing it
+// without limit.
+//
+// Shapes are filed per suite, because absint folding uses the suite's
+// input facts and a search run evaluates against exactly one suite for
+// its lifetime. The suite enters by a weak pointer, so the cache never
+// keeps a finished job's suite alive: New registers a suite on its
+// first State with a cleanup that drops the suite's shapes once the
+// suite has been collected.
 var recipeCache struct {
-	mu sync.Mutex
-	m  map[cacheKey][]cacheEntry
+	mu     sync.Mutex
+	suites map[weak.Pointer[testcase.Suite]]map[uint64][]cacheEntry
+	shapes int // keys across all suites' shape maps
 }
 
 const recipeCacheMax = 4096
+
+// registerSuite returns s's cache handle, the weak pointer its shapes
+// are filed under, adding s to the cache if no State has registered it.
+func registerSuite(s *testcase.Suite) weak.Pointer[testcase.Suite] {
+	key := weak.Make(s)
+	recipeCache.mu.Lock()
+	defer recipeCache.mu.Unlock()
+	if _, ok := recipeCache.suites[key]; !ok {
+		if recipeCache.suites == nil {
+			recipeCache.suites = make(map[weak.Pointer[testcase.Suite]]map[uint64][]cacheEntry)
+		}
+		recipeCache.suites[key] = make(map[uint64][]cacheEntry)
+		runtime.AddCleanup(s, dropSuite, key)
+	}
+	return key
+}
+
+// dropSuite removes a collected suite and its shapes from the cache.
+func dropSuite(key weak.Pointer[testcase.Suite]) {
+	recipeCache.mu.Lock()
+	recipeCache.shapes -= len(recipeCache.suites[key])
+	delete(recipeCache.suites, key)
+	recipeCache.mu.Unlock()
+}
 
 // shapeHash is FNV-1a over the node array and input arity.
 func shapeHash(p *prog.Program) uint64 {
@@ -90,10 +117,11 @@ func sameShape(e *cacheEntry, p *prog.Program) bool {
 // lookupRecipe returns the recipe for p's shape, compiling and
 // publishing it on a miss. The bool reports a cache hit.
 func lookupRecipe(e *State, p *prog.Program) (*recipe, bool) {
-	key := cacheKey{suite: e.suite, hash: shapeHash(p)}
+	h := shapeHash(p)
 	recipeCache.mu.Lock()
-	for i := range recipeCache.m[key] {
-		ent := &recipeCache.m[key][i]
+	shapes := recipeCache.suites[e.key]
+	for i := range shapes[h] {
+		ent := &shapes[h][i]
 		if sameShape(ent, p) {
 			rec := ent.rec
 			recipeCache.mu.Unlock()
@@ -108,10 +136,19 @@ func lookupRecipe(e *State, p *prog.Program) (*recipe, bool) {
 	rec := e.compileFull(p)
 
 	recipeCache.mu.Lock()
-	if recipeCache.m == nil || len(recipeCache.m) >= recipeCacheMax {
-		recipeCache.m = make(map[cacheKey][]cacheEntry)
+	if recipeCache.shapes >= recipeCacheMax {
+		for k := range recipeCache.suites {
+			recipeCache.suites[k] = make(map[uint64][]cacheEntry)
+		}
+		recipeCache.shapes = 0
 	}
-	recipeCache.m[key] = append(recipeCache.m[key], cacheEntry{
+	// e holds its suite, so the suite's cleanup has not run and its
+	// shape map is present.
+	shapes = recipeCache.suites[e.key]
+	if _, ok := shapes[h]; !ok {
+		recipeCache.shapes++
+	}
+	shapes[h] = append(shapes[h], cacheEntry{
 		nodes:     append([]prog.Node(nil), p.Nodes...),
 		numInputs: p.NumInputs,
 		rec:       rec,

@@ -6,14 +6,20 @@ import (
 	"stochsyn/internal/prog"
 )
 
-// A kernel computes one node's value column for suite cases [c0, c1).
-// dst is the destination column; a and b are the resolved operand
-// columns (b is nil for unary and immediate forms, a is nil for
-// immediate-left forms); imm carries a constant operand folded at
-// compile time. Every kernel body is the corresponding evalOp arm
-// applied per case in case order, so a compiled tape is bit-identical
-// to the interpreted engine by construction (TestKernelsMatchEvalOp
-// pins this for every opcode and operand shape).
+// A kernel computes one node's value column for suite cases [c0, c1)
+// from the bound tape entry t: t.dst is the destination column; t.a
+// and t.b are the resolved operand columns (b is nil for unary and
+// immediate forms, a is nil for immediate-left forms); t.imm carries a
+// constant operand folded at compile time. The call passes one pointer
+// and the range, and each kernel loads only the fields it reads, into
+// locals before its case loop (a store to dst could otherwise alias
+// them and force a reload per case). Every kernel body is the
+// corresponding evalOp arm applied per case in case order, so a
+// compiled tape is bit-identical to the interpreted engine by
+// construction (TestKernelsMatchEvalOp pins this for every opcode and
+// operand shape). The compare kernels use evalOp's select form
+// (v := 0; if cond { v = 1 }), which compiles to a flag set instead of
+// a data-dependent branch.
 //
 // Kernels come in up to three fusion variants per opcode, selected by
 // the compiler from the fusion table below:
@@ -24,7 +30,7 @@ import (
 //	     hoisted out of the case loop
 //	IV — left operand is a compile-time constant; commutative opcodes
 //	     have no IV entry because the compiler swaps them into VI form
-type kernel func(dst, a, b []uint64, imm uint64, c0, c1 int)
+type kernel func(t *tapeEntry, c0, c1 int)
 
 // Kernels is one fusion-table row: the kernel variants of a single
 // opcode. The zero value (pseudo-ops) compiles through dedicated
@@ -51,8 +57,8 @@ var commutative = [prog.NumOps]bool{
 
 // kFill broadcasts a compile-time constant: constant nodes, fully
 // folded operands, and absint-proven singleton nodes.
-func kFill(dst, _, _ []uint64, imm uint64, c0, c1 int) {
-	d := dst[c0:c1]
+func kFill(t *tapeEntry, c0, c1 int) {
+	d, imm := t.dst[c0:c1], t.imm
 	for c := range d {
 		d[c] = imm
 	}
@@ -62,35 +68,35 @@ func kFill(dst, _, _ []uint64, imm uint64, c0, c1 int) {
 // never inputs (Validate forbids it), but a program that carries one
 // anyway compiles to a copy of the precomputed input column, matching
 // the interpreted engine's fallback.
-func kCopy(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	copy(dst[c0:c1], a[c0:c1])
+func kCopy(t *tapeEntry, c0, c1 int) {
+	copy(t.dst[c0:c1], t.a[c0:c1])
 }
 
 // 64-bit binary, VV forms.
 
-func vvAdd(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvAdd(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = av[c] + bv[c]
 	}
 }
 
-func vvSub(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvSub(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = av[c] - bv[c]
 	}
 }
 
-func vvMul(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvMul(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = av[c] * bv[c]
 	}
 }
 
-func vvDivU(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvDivU(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		if bv[c] == 0 {
 			d[c] = 0
@@ -100,8 +106,8 @@ func vvDivU(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvRemU(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvRemU(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		if bv[c] == 0 {
 			d[c] = 0
@@ -111,8 +117,8 @@ func vvRemU(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvDivS(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvDivS(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		sa, sb := int64(av[c]), int64(bv[c])
 		if sb == 0 || (sa == -1<<63 && sb == -1) {
@@ -123,8 +129,8 @@ func vvDivS(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvRemS(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvRemS(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		sa, sb := int64(av[c]), int64(bv[c])
 		if sb == 0 || (sa == -1<<63 && sb == -1) {
@@ -135,29 +141,29 @@ func vvRemS(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvAnd(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvAnd(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = av[c] & bv[c]
 	}
 }
 
-func vvOr(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvOr(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = av[c] | bv[c]
 	}
 }
 
-func vvXor(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvXor(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = av[c] ^ bv[c]
 	}
 }
 
-func vvShl(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvShl(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	av, bv = av[:len(d)], bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -171,8 +177,8 @@ func vvShl(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvShr(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvShr(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	av, bv = av[:len(d)], bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -186,8 +192,8 @@ func vvShr(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvSar(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvSar(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	av, bv = av[:len(d)], bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -201,8 +207,8 @@ func vvSar(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvRol(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvRol(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	av, bv = av[:len(d)], bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -216,8 +222,8 @@ func vvRol(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvRor(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvRor(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	av, bv = av[:len(d)], bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -231,64 +237,64 @@ func vvRor(dst, a, b []uint64, _ uint64, c0, c1 int) {
 	}
 }
 
-func vvEq(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvEq(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
+		v := uint64(0)
 		if av[c] == bv[c] {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
-func vvUlt(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvUlt(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
+		v := uint64(0)
 		if av[c] < bv[c] {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
-func vvSlt(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvSlt(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
+		v := uint64(0)
 		if int64(av[c]) < int64(bv[c]) {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
 // 64-bit binary, VI forms (right operand folded to imm).
 
-func viAdd(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viAdd(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
 		d[c] = av[c] + imm
 	}
 }
 
-func viSub(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viSub(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
 		d[c] = av[c] - imm
 	}
 }
 
-func viMul(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viMul(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
 		d[c] = av[c] * imm
 	}
 }
 
-func viDivU(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viDivU(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	if imm == 0 {
 		for c := range d {
 			d[c] = 0
@@ -300,8 +306,8 @@ func viDivU(dst, a, _ []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func viRemU(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viRemU(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	if imm == 0 {
 		for c := range d {
 			d[c] = 0
@@ -313,8 +319,8 @@ func viRemU(dst, a, _ []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func viDivS(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viDivS(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	sb := int64(imm)
 	switch {
 	case sb == 0:
@@ -337,8 +343,8 @@ func viDivS(dst, a, _ []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func viRemS(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viRemS(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	sb := int64(imm)
 	if sb == 0 || sb == -1 {
 		// a % -1 == 0 for every a, including the trapping MinInt64 case
@@ -353,113 +359,113 @@ func viRemS(dst, a, _ []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func viAnd(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viAnd(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
 		d[c] = av[c] & imm
 	}
 }
 
-func viOr(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viOr(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
 		d[c] = av[c] | imm
 	}
 }
 
-func viXor(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viXor(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
 		d[c] = av[c] ^ imm
 	}
 }
 
-func viShl(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viShl(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := imm & 63
 	for c := range d {
 		d[c] = av[c] << s
 	}
 }
 
-func viShr(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viShr(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := imm & 63
 	for c := range d {
 		d[c] = av[c] >> s
 	}
 }
 
-func viSar(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viSar(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := imm & 63
 	for c := range d {
 		d[c] = uint64(int64(av[c]) >> s)
 	}
 }
 
-func viRol(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viRol(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := int(imm & 63)
 	for c := range d {
 		d[c] = mathbits.RotateLeft64(av[c], s)
 	}
 }
 
-func viRor(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viRor(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := -int(imm & 63)
 	for c := range d {
 		d[c] = mathbits.RotateLeft64(av[c], s)
 	}
 }
 
-func viEq(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viEq(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
+		v := uint64(0)
 		if av[c] == imm {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
-func viUlt(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viUlt(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	for c := range d {
+		v := uint64(0)
 		if av[c] < imm {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
-func viSlt(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viSlt(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	sb := int64(imm)
 	for c := range d {
+		v := uint64(0)
 		if int64(av[c]) < sb {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
 // 64-bit binary, IV forms (left operand folded to imm; commutative
 // opcodes instead swap into the VI kernel).
 
-func ivSub(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivSub(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	for c := range d {
 		d[c] = imm - bv[c]
 	}
 }
 
-func ivDivU(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivDivU(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	for c := range d {
 		if bv[c] == 0 {
 			d[c] = 0
@@ -469,8 +475,8 @@ func ivDivU(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivRemU(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivRemU(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	for c := range d {
 		if bv[c] == 0 {
 			d[c] = 0
@@ -480,8 +486,8 @@ func ivRemU(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivDivS(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivDivS(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	sa := int64(imm)
 	for c := range d {
 		sb := int64(bv[c])
@@ -493,8 +499,8 @@ func ivDivS(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivRemS(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivRemS(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	sa := int64(imm)
 	for c := range d {
 		sb := int64(bv[c])
@@ -506,8 +512,8 @@ func ivRemS(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivShl(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivShl(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	bv = bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -521,8 +527,8 @@ func ivShl(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivShr(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivShr(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	bv = bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -536,8 +542,8 @@ func ivShr(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivSar(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivSar(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	bv = bv[:len(d)]
 	sa := int64(imm)
 	c := 0
@@ -552,8 +558,8 @@ func ivSar(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivRol(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivRol(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	bv = bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -567,8 +573,8 @@ func ivRol(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivRor(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivRor(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	bv = bv[:len(d)]
 	c := 0
 	for ; c+4 <= len(d); c += 4 {
@@ -582,110 +588,110 @@ func ivRor(dst, _, b []uint64, imm uint64, c0, c1 int) {
 	}
 }
 
-func ivUlt(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivUlt(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	for c := range d {
+		v := uint64(0)
 		if imm < bv[c] {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
-func ivSlt(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivSlt(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	sa := int64(imm)
 	for c := range d {
+		v := uint64(0)
 		if sa < int64(bv[c]) {
-			d[c] = 1
-		} else {
-			d[c] = 0
+			v = 1
 		}
+		d[c] = v
 	}
 }
 
 // 64-bit unary.
 
-func vvNot(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvNot(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = ^av[c]
 	}
 }
 
-func vvNeg(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvNeg(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = -av[c]
 	}
 }
 
-func vvBswap(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvBswap(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = mathbits.ReverseBytes64(av[c])
 	}
 }
 
-func vvPopcnt(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvPopcnt(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(mathbits.OnesCount64(av[c]))
 	}
 }
 
-func vvClz(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvClz(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(mathbits.LeadingZeros64(av[c]))
 	}
 }
 
-func vvCtz(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvCtz(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(mathbits.TrailingZeros64(av[c]))
 	}
 }
 
-func vvSext8(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvSext8(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(int64(int8(av[c])))
 	}
 }
 
-func vvSext16(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvSext16(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(int64(int16(av[c])))
 	}
 }
 
-func vvSext32(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvSext32(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(int64(int32(av[c])))
 	}
 }
 
-func vvZext8(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvZext8(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint8(av[c]))
 	}
 }
 
-func vvZext16(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvZext16(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint16(av[c]))
 	}
 }
 
-func vvZext32(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvZext32(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]))
 	}
@@ -693,64 +699,64 @@ func vvZext32(dst, a, _ []uint64, _ uint64, c0, c1 int) {
 
 // 32-bit binary, VV forms.
 
-func vvAdd32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvAdd32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) + uint32(bv[c]))
 	}
 }
 
-func vvSub32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvSub32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) - uint32(bv[c]))
 	}
 }
 
-func vvMul32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvMul32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) * uint32(bv[c]))
 	}
 }
 
-func vvAnd32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvAnd32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) & uint32(bv[c]))
 	}
 }
 
-func vvOr32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvOr32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) | uint32(bv[c]))
 	}
 }
 
-func vvXor32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvXor32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) ^ uint32(bv[c]))
 	}
 }
 
-func vvShl32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvShl32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) << (bv[c] & 31))
 	}
 }
 
-func vvShr32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvShr32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) >> (bv[c] & 31))
 	}
 }
 
-func vvSar32(dst, a, b []uint64, _ uint64, c0, c1 int) {
-	d, av, bv := dst[c0:c1], a[c0:c1], b[c0:c1]
+func vvSar32(t *tapeEntry, c0, c1 int) {
+	d, av, bv := t.dst[c0:c1], t.a[c0:c1], t.b[c0:c1]
 	for c := range d {
 		d[c] = uint64(uint32(int32(av[c]) >> (bv[c] & 31)))
 	}
@@ -758,72 +764,72 @@ func vvSar32(dst, a, b []uint64, _ uint64, c0, c1 int) {
 
 // 32-bit binary, VI forms.
 
-func viAdd32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viAdd32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) + i32)
 	}
 }
 
-func viSub32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viSub32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) - i32)
 	}
 }
 
-func viMul32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viMul32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) * i32)
 	}
 }
 
-func viAnd32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viAnd32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) & i32)
 	}
 }
 
-func viOr32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viOr32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) | i32)
 	}
 }
 
-func viXor32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viXor32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) ^ i32)
 	}
 }
 
-func viShl32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viShl32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := imm & 31
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) << s)
 	}
 }
 
-func viShr32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viShr32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := imm & 31
 	for c := range d {
 		d[c] = uint64(uint32(av[c]) >> s)
 	}
 }
 
-func viSar32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func viSar32(t *tapeEntry, c0, c1 int) {
+	d, av, imm := t.dst[c0:c1], t.a[c0:c1], t.imm
 	s := imm & 31
 	for c := range d {
 		d[c] = uint64(uint32(int32(av[c]) >> s))
@@ -832,32 +838,32 @@ func viSar32(dst, a, _ []uint64, imm uint64, c0, c1 int) {
 
 // 32-bit binary, IV forms.
 
-func ivSub32(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivSub32(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(i32 - uint32(bv[c]))
 	}
 }
 
-func ivShl32(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivShl32(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(i32 << (bv[c] & 31))
 	}
 }
 
-func ivShr32(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivShr32(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	i32 := uint32(imm)
 	for c := range d {
 		d[c] = uint64(i32 >> (bv[c] & 31))
 	}
 }
 
-func ivSar32(dst, _, b []uint64, imm uint64, c0, c1 int) {
-	d, bv := dst[c0:c1], b[c0:c1]
+func ivSar32(t *tapeEntry, c0, c1 int) {
+	d, bv, imm := t.dst[c0:c1], t.b[c0:c1], t.imm
 	i32 := int32(imm)
 	for c := range d {
 		d[c] = uint64(uint32(i32 >> (bv[c] & 31)))
@@ -866,15 +872,15 @@ func ivSar32(dst, _, b []uint64, imm uint64, c0, c1 int) {
 
 // 32-bit unary.
 
-func vvNot32(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvNot32(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(^uint32(av[c]))
 	}
 }
 
-func vvNeg32(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvNeg32(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = uint64(-uint32(av[c]))
 	}
@@ -882,15 +888,15 @@ func vvNeg32(dst, a, _ []uint64, _ uint64, c0, c1 int) {
 
 // Model-dialect shifts (shift by exactly one bit).
 
-func vvMShl(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvMShl(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = av[c] << 1
 	}
 }
 
-func vvMShr(dst, a, _ []uint64, _ uint64, c0, c1 int) {
-	d, av := dst[c0:c1], a[c0:c1]
+func vvMShr(t *tapeEntry, c0, c1 int) {
+	d, av := t.dst[c0:c1], t.a[c0:c1]
 	for c := range d {
 		d[c] = av[c] >> 1
 	}

@@ -35,6 +35,7 @@ package plan
 
 import (
 	mathbits "math/bits"
+	"weak"
 
 	"stochsyn/internal/prog"
 	"stochsyn/internal/prog/analysis/absint"
@@ -62,10 +63,11 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// tapeEntry is one bound instruction of the proposal tape: a kernel
-// plus its resolved destination and operand columns and folded
-// immediate. Fully bound at Begin so tape execution touches no other
-// engine state.
+// tapeEntry is one bound instruction of a tape: a kernel plus its
+// resolved destination and operand columns and folded immediate.
+// Proposal entries are fully bound at Begin so tape execution touches
+// no other engine state; the kernel is called with a pointer to its own
+// entry (t.kern(t, c0, c1)) and loads only the fields it uses.
 type tapeEntry struct {
 	kern kernel
 	dst  []uint64
@@ -82,6 +84,14 @@ type State struct {
 	p      *prog.Program
 	suite  *testcase.Suite
 	ncases int
+
+	// key is the suite's recipe-cache handle (a weak pointer, so the
+	// cache never keeps a suite alive), made once at New; targets is
+	// the suite's desired outputs as one dense column, copied at New so
+	// the cost loops read 8 bytes per case instead of striding through
+	// testcase.Case.
+	key     weak.Pointer[testcase.Suite]
+	targets []uint64
 
 	// cols[i] is the committed value column of node i; prop[i] the
 	// proposal shadow. Commit swaps headers, never copies values.
@@ -145,7 +155,7 @@ type State struct {
 // input-node columns filled in. Call Reset to bind a program.
 func New(s *testcase.Suite) *State {
 	n := s.Len()
-	e := &State{suite: s, ncases: n}
+	e := &State{suite: s, ncases: n, key: registerSuite(s), targets: make([]uint64, n)}
 	backing := make([]uint64, 2*prog.MaxNodes*n)
 	for i := 0; i < prog.MaxNodes; i++ {
 		e.cols[i] = backing[i*n : (i+1)*n : (i+1)*n]
@@ -157,12 +167,19 @@ func New(s *testcase.Suite) *State {
 			col[c] = s.Cases[c].Inputs[i]
 		}
 	}
+	for c := range s.Cases {
+		e.targets[c] = s.Cases[c].Output
+	}
 	e.inFacts = absint.InputFacts(s)
 	return e
 }
 
 // Suite returns the suite the engine evaluates against.
 func (e *State) Suite() *testcase.Suite { return e.suite }
+
+// Targets returns the suite's desired outputs as one dense column in
+// case order: Targets()[c] == Suite().Cases[c].Output.
+func (e *State) Targets() []uint64 { return e.targets }
 
 // Program returns the program the committed columns describe.
 func (e *State) Program() *prog.Program { return e.p }
@@ -203,19 +220,23 @@ func (e *State) Reset(p *prog.Program) {
 		e.pstats.Compiles++
 	}
 	e.pstats.FusedNodes += rec.fused
+	// Each node is bound into the first live-tape entry and run at
+	// once: no proposal is active, so that entry is free, and binding
+	// it in place keeps the kernel call from allocating.
+	t := &e.tape[0]
 	for _, i := range rec.order {
 		if int(i) < p.NumInputs {
 			continue // permanent, precomputed
 		}
 		op := &rec.ops[i]
-		var a, b []uint64
+		*t = tapeEntry{kern: op.kern, dst: e.cols[i], imm: op.imm}
 		if op.argA >= 0 {
-			a = e.cols[op.argA]
+			t.a = e.cols[op.argA]
 		}
 		if op.argB >= 0 {
-			b = e.cols[op.argB]
+			t.b = e.cols[op.argB]
 		}
-		op.kern(e.cols[i], a, b, op.imm, 0, e.ncases)
+		t.kern(t, 0, e.ncases)
 	}
 	e.rebuildPops()
 }
@@ -484,13 +505,14 @@ func (e *State) column(i int32) []uint64 {
 // RunTape executes the live proposal tape for suite cases [c0, c1)
 // without resolving a root sub-column — the fused cost path
 // (cost.Kind.OfPlan) reads the root once via ProposalRoot instead of
-// reslicing per chunk. Work accounting matches EvalRange exactly (it
-// is EvalRange minus the reslice).
+// reslicing per run, and runs ranges of several EvalChunk blocks when
+// the bound allows. Work accounting matches EvalRange exactly (it is
+// EvalRange minus the reslice).
 func (e *State) RunTape(c0, c1 int) {
 	tape := e.tape[:e.nlive]
 	for k := range tape {
 		t := &tape[k]
-		t.kern(t.dst, t.a, t.b, t.imm, c0, c1)
+		t.kern(t, c0, c1)
 	}
 	e.estats.CasesEvaluated += int64(c1 - c0)
 }
@@ -524,7 +546,7 @@ func (e *State) Commit() {
 	// only feed unreachable nodes, so tape order is execution order.
 	for k := 0; k < e.ndefer; k++ {
 		t := &e.dtape[k]
-		t.kern(t.dst, t.a, t.b, t.imm, 0, e.ncases)
+		t.kern(t, 0, e.ncases)
 	}
 	// Adopt the proposal lowerings for the edited slots. The facts-free
 	// patch compile is exactly what Begin produced for them

@@ -43,9 +43,10 @@ func randProgram(rng *rand.Rand, numInputs, body int) *prog.Program {
 
 // TestKernelsMatchEvalOp pins every fusion-table kernel — VV, VI, and
 // IV variants — to the per-case EvalOp reference for every
-// instruction opcode, including split-range fills (chunked execution
-// must be seamless) and boundary shift amounts in both column and
-// immediate positions.
+// instruction opcode, called the way tapes call them (one bound entry
+// and a range), including split ranges not aligned to EvalChunk
+// (blocked execution must be seamless) and boundary shift amounts in
+// both column and immediate positions.
 func TestKernelsMatchEvalOp(t *testing.T) {
 	const n = 37
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -66,8 +67,9 @@ func TestKernelsMatchEvalOp(t *testing.T) {
 		for c := range dst {
 			dst[c] = 0xdeadbeefdeadbeef // poison
 		}
-		k(dst, av, bv, imm, 0, 17)
-		k(dst, av, bv, imm, 17, n)
+		t := &tapeEntry{kern: k, dst: dst, a: av, b: bv, imm: imm}
+		t.kern(t, 0, 17)
+		t.kern(t, 17, n)
 	}
 	for op := prog.OpConst + 1; op < prog.Op(prog.NumOps); op++ {
 		ks := &fusion[op]

@@ -13,7 +13,10 @@ import (
 // column and case counts (EvalStats) and the plan compiler's counters
 // (PlanStats). The values were recorded while GC still compacted inside
 // every move; deferring compaction to accepted edits must not move any
-// of them, so NodesTotal counts only the nodes a proposal keeps.
+// of them, so NodesTotal counts only the nodes a proposal keeps. The
+// two 1000-case rows were recorded while the cost path still ran the
+// tape one EvalChunk at a time; running it in bound-sized blocks must
+// not move them either.
 func TestRunCountersPinned(t *testing.T) {
 	start := prog.MustParse("addq(addq(x, x), mulq(x, 1))", 1)
 	cases := []struct {
@@ -65,6 +68,22 @@ func TestRunCountersPinned(t *testing.T) {
 			moves: Stats{Proposed: [4]int64{6767, 6595, 6638, 0}, Accepted: [4]int64{1, 249, 4355, 0}, Evaluated: 20000},
 			eval:  prog.EvalStats{NodesReevaluated: 38644, NodesTotal: 69642, CasesEvaluated: 338420, CasesTotal: 400000},
 			plan:  plan.Stats{Compiles: 1, Patches: 38644, FusedNodes: 4811},
+		},
+		{
+			name: "wide-hamming", expr: "mulq(mulq(x, x), addq(x, y))", inputs: 2, ncases: 1000,
+			opts:  Options{Cost: cost.Hamming, Beta: 1, Seed: 11},
+			iters: 20000,
+			moves: Stats{Proposed: [4]int64{6668, 6618, 6714, 0}, Accepted: [4]int64{431, 1005, 1575, 0}, Evaluated: 18725},
+			eval:  prog.EvalStats{NodesReevaluated: 89523, NodesTotal: 221438, CasesEvaluated: 17324160, CasesTotal: 18725000},
+			plan:  plan.Stats{Compiles: 1, Patches: 89523, FusedNodes: 7054},
+		},
+		{
+			name: "wide-incorrect", expr: "xorq(x, shrq(x, 1))", inputs: 1, ncases: 1000,
+			opts:  Options{Cost: cost.IncorrectTests, Beta: 1, Seed: 13},
+			iters: 8784,
+			moves: Stats{Proposed: [4]int64{2887, 3061, 2836, 0}, Accepted: [4]int64{2430, 2388, 2537, 0}, Evaluated: 8510},
+			eval:  prog.EvalStats{NodesReevaluated: 18562, NodesTotal: 46247, CasesEvaluated: 8051592, CasesTotal: 8510000},
+			plan:  plan.Stats{Compiles: 1, Patches: 18562, FusedNodes: 7231},
 		},
 		{
 			name: "interp", expr: "andq(x, subq(x, 1))", inputs: 1, ncases: 10,
