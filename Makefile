@@ -28,8 +28,9 @@ ci:
 	$(call gate,perfbench-test,$(MAKE) -s perfbench-test)
 	$(call gate,race,$(GO) test -race ./...)
 	$(call gate,exec-stress,$(MAKE) -s exec-stress)
+	$(call gate,server-smoke,sh scripts/server_smoke.sh)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] eqsat-smoke bench-prune bench-eval perfbench-test[vet+test] race exec-stress fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] eqsat-smoke bench-prune bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -110,7 +111,10 @@ perfbench-test:
 	cd cmd/perfbench && $(GO) vet . && $(GO) test .
 
 # Boot synthd on an ephemeral port, submit a small SyGuS job through
-# `synth -remote`, and assert the server returns a solution.
+# `synth -remote`, and assert the server returns a solution; then
+# stream a job's events live and check that reading the finished job's
+# stream again (now replayed from its sealed log) gives the same bytes,
+# and that a Last-Event-ID resume gives the matching tail.
 server-smoke:
 	sh scripts/server_smoke.sh
 

@@ -3,6 +3,7 @@ package stochsyn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"stochsyn/internal/prog"
 	"stochsyn/internal/testcase"
@@ -73,12 +74,18 @@ func SynthesizeCEGIS(spec Spec, numInputs, numCases, maxRounds int, opts Options
 			res.Cases = problem.NumCases()
 			return res, nil
 		}
-		// Add the counterexample and refine.
+		// Add the counterexample and refine on a fresh problem: the
+		// copied cases plus the new one. The last round's suite stays as
+		// it was, so nothing derived from it (the plan engine's recipe
+		// cache files folds by suite) can be served for the new cases.
 		res.Counterexamples = append(res.Counterexamples, cx.Inputs)
-		problem.suite.Cases = append(problem.suite.Cases, testcase.Case{
-			Inputs: cx.Inputs,
-			Output: spec(cx.Inputs),
-		})
+		problem = &Problem{suite: &testcase.Suite{
+			NumInputs: problem.suite.NumInputs,
+			Cases: append(slices.Clip(problem.suite.Cases), testcase.Case{
+				Inputs: cx.Inputs,
+				Output: spec(cx.Inputs),
+			}),
+		}}
 	}
 	res.Cases = problem.NumCases()
 	return res, nil

@@ -226,11 +226,11 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 // computed with less overhead per case. The tape runs through direct
 // calls (no interface dispatch, no per-chunk root reslicing — the root
 // column is resolved once), the desired outputs come from the engine's
-// dense target column, and the bound is checked once per tape run
-// instead of once per case. Per-case costs are non-negative, so the
-// partial sum is monotone: a sum that crosses bound mid-chunk has
-// still crossed it at the chunk boundary, the same chunks get pulled
-// either way, and the same +Inf comes back.
+// dense target column, and the integer arms check the bound once per
+// tape run instead of once per case. Per-case costs are non-negative,
+// so the partial sum is monotone: a sum that crosses bound mid-chunk
+// has still crossed it at the chunk boundary, the same chunks get
+// pulled either way, and the same +Inf comes back.
 //
 // The Hamming and IncorrectTests arms sum in an int (exact: every
 // partial sum is far below 2^53, so the final conversion equals the
@@ -242,8 +242,10 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 // them and ends at the first chunk boundary beyond, the first check
 // that could fail. The same chunks are pulled and the same checks
 // decide as with a check at every EvalChunk boundary. LogDiff sums
-// floats, whose per-case bound is not an integer step, and keeps one
-// tape run and one check per chunk.
+// floats, whose per-case bound is not an integer step: it runs the
+// tape one chunk at a time and, as OfState does, checks after every
+// case, so a proposal past the bound stops paying for math.Log2 at
+// the first case that crosses it.
 //
 // Trajectories and eval-work stats are bit-identical to OfState on
 // the same engine.
@@ -293,9 +295,9 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 			e.RunTape(c0, c1)
 			for c := c0; c < c1; c++ {
 				total += bits.LogDiff(root[c], want[c])
-			}
-			if total > bound {
-				return inf
+				if total > bound {
+					return inf
+				}
 			}
 		}
 		return total

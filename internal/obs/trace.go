@@ -61,6 +61,10 @@ const maxSinkPending = 1024
 // non-blocking (slow consumers lose events, counted per subscriber),
 // and sink writes happen outside the lock via a bounded pending
 // buffer drained by whichever emitter wins sinkMu.
+//
+// A tracer whose stream has ended (a finished job's fork) can be
+// sealed (Seal): its ring becomes a compressed log of the SSE frames
+// ServeEventStream would replay, and the Event structs are released.
 type Tracer struct {
 	mu       sync.Mutex
 	buf      []Event // grows by append until capacity, then a ring
@@ -72,6 +76,11 @@ type Tracer struct {
 	pending  []Event // events waiting for the sink writer
 	sink     io.Writer
 	enc      *json.Encoder
+
+	// sealed is set by Seal, which replaces the ring (buf is nil from
+	// then on) with log, the ring's SSE frames compressed (sse.go).
+	sealed bool
+	log    []byte
 
 	// Fork lineage: events emitted on this tracer are stamped with
 	// span (when they carry no span of their own) and base attrs, then
@@ -192,9 +201,12 @@ func (t *Tracer) emit(ev Event, stamp bool) {
 	t.mu.Lock()
 	t.seq++
 	ev.Seq = t.seq
-	if len(t.buf) < t.capacity {
+	switch {
+	case t.sealed:
+		t.drops.ring.Add(1) // a sealed log keeps nothing more
+	case len(t.buf) < t.capacity:
 		t.buf = append(t.buf, ev)
-	} else {
+	default:
 		t.buf[t.next] = ev
 		t.wrapped = true
 		t.drops.ring.Add(1)
@@ -337,24 +349,77 @@ func (t *Tracer) Subscribers() int {
 
 // Events returns a snapshot of the buffered events, oldest first. The
 // ring is not cleared: /tracez drains are non-destructive, so
-// repeated scrapes overlap (dedupe on Seq).
+// repeated scrapes overlap (dedupe on Seq). A sealed tracer has no
+// ring and returns nothing; its events live on only as the sealed log
+// ServeEventStream replays.
 func (t *Tracer) Events() []Event {
+	events, _ := t.snapshot()
+	return events
+}
+
+// snapshot returns, under one lock, either a copy of the ring (oldest
+// first) or, once the tracer is sealed, its sealed log.
+func (t *Tracer) snapshot() (events []Event, log []byte) {
 	if t == nil {
-		return nil
+		return nil, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	if t.wrapped {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
+	if t.sealed {
+		return nil, t.log
 	}
-	return out
+	older, newer := t.ring()
+	events = make([]Event, 0, len(t.buf))
+	return append(append(events, older...), newer...), nil
 }
 
-// Len returns the number of buffered events.
+// ring returns the buffered events, oldest first, as two runs of buf.
+// Requires t.mu.
+func (t *Tracer) ring() (older, newer []Event) {
+	if t.wrapped {
+		return t.buf[t.next:], t.buf[:t.next]
+	}
+	return t.buf, nil
+}
+
+// Seal ends the tracer's event log: the ring's events, oldest first,
+// are encoded into the exact SSE frames ServeEventStream writes,
+// compressed with flate (BestSpeed), and kept as those bytes alone;
+// the Event structs and their attribute maps are released. A finished
+// job's fork keeps a few KB this way instead of tens of KB of structs
+// for as long as the job is listed. ServeEventStream replays the
+// sealed log byte for byte as it replayed the ring.
+//
+// Events emitted after Seal still reach subscribers, the sink and the
+// parent tracer, but are not kept: each counts as a ring overwrite.
+// Seal runs under the tracer's lock, reuses pooled compressors, and
+// is idempotent and nil-safe.
+func (t *Tracer) Seal() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed {
+		return
+	}
+	t.log = sealFrames(t.ring())
+	t.sealed = true
+	t.buf, t.next, t.wrapped = nil, 0, false
+}
+
+// SealedBytes reports the size of the tracer's sealed log (0 before
+// Seal).
+func (t *Tracer) SealedBytes() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.log)
+}
+
+// Len returns the number of buffered events (0 once sealed).
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0

@@ -25,10 +25,13 @@ type recipe struct {
 
 // cacheEntry pairs the recipe with the exact shape it was compiled
 // from, so a hash collision degrades to a recompile instead of a
-// wrong tape.
+// wrong tape. cases is the suite's case count at compile time: a
+// suite grown in place since then may break the recipe's folds, so a
+// State with a different count misses.
 type cacheEntry struct {
 	nodes     []prog.Node
 	numInputs int
+	cases     int
 	rec       *recipe
 }
 
@@ -41,10 +44,13 @@ type cacheEntry struct {
 //
 // Shapes are filed per suite, because absint folding uses the suite's
 // input facts and a search run evaluates against exactly one suite for
-// its lifetime. The suite enters by a weak pointer, so the cache never
-// keeps a finished job's suite alive: New registers a suite on its
-// first State with a cleanup that drops the suite's shapes once the
-// suite has been collected.
+// its lifetime. A suite's cases must not change while States use it;
+// one that grows by appending between States is safe, because each
+// entry also records the case count it was folded for. The suite
+// enters by a weak pointer, so the cache never keeps a finished job's
+// suite alive: New registers a suite on its first State with a
+// cleanup that drops the suite's shapes once the suite has been
+// collected.
 var recipeCache struct {
 	mu     sync.Mutex
 	suites map[weak.Pointer[testcase.Suite]]map[uint64][]cacheEntry
@@ -122,7 +128,7 @@ func lookupRecipe(e *State, p *prog.Program) (*recipe, bool) {
 	shapes := recipeCache.suites[e.key]
 	for i := range shapes[h] {
 		ent := &shapes[h][i]
-		if sameShape(ent, p) {
+		if ent.cases == e.ncases && sameShape(ent, p) {
 			rec := ent.rec
 			recipeCache.mu.Unlock()
 			return rec, true
@@ -151,6 +157,7 @@ func lookupRecipe(e *State, p *prog.Program) (*recipe, bool) {
 	shapes[h] = append(shapes[h], cacheEntry{
 		nodes:     append([]prog.Node(nil), p.Nodes...),
 		numInputs: p.NumInputs,
+		cases:     e.ncases,
 		rec:       rec,
 	})
 	recipeCache.mu.Unlock()

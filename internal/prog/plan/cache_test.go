@@ -45,3 +45,28 @@ func TestCacheReleasesSuite(t *testing.T) {
 		t.Fatal("recipe cache still holds an entry for a collected suite")
 	}
 }
+
+// TestCacheMissesGrownSuite grows a suite in place between two States,
+// as a caller appending counterexamples would. The first State folds
+// shrq(x, 63) to 0 because no case sets bit 63; that fold does not hold
+// for the appended case, so the second State must compile afresh rather
+// than reuse the cached recipe.
+func TestCacheMissesGrownSuite(t *testing.T) {
+	suite := &testcase.Suite{NumInputs: 1}
+	for i := uint64(0); i < 20; i++ {
+		suite.Cases = append(suite.Cases, testcase.Case{Inputs: []uint64{i * 0x0123456789abcdef >> 1}})
+	}
+	p := prog.MustParse("shrq(x, 63)", 1)
+	plan.New(suite).Reset(p)
+
+	x := uint64(1) << 63
+	suite.Cases = append(suite.Cases, testcase.Case{Inputs: []uint64{x}, Output: p.Output([]uint64{x})})
+	e := plan.New(suite)
+	e.Reset(p)
+	if hits := e.PlanStats().CacheHits; hits != 0 {
+		t.Errorf("grown suite hit the recipe cache %d times, want 0", hits)
+	}
+	if got, want := e.RootColumn()[20], p.Output([]uint64{x}); got != want {
+		t.Fatalf("root column on the appended case = %d, Output gives %d", got, want)
+	}
+}

@@ -581,6 +581,10 @@ func (co *Coordinator) ensureRelay(sub *submission) {
 // lifecycle events are genuinely new events on this submission's
 // stream, and the dead worker never emitted a terminal event, so
 // watchers still see exactly one job_finished.
+//
+// A relay that ends on a terminal event, relayed or synthesized, seals
+// the submission's tracer (obs.Tracer.Seal): the stream is complete,
+// and later readers replay it from the compressed frames.
 func (co *Coordinator) relayLoop(sub *submission) {
 	defer co.wg.Done()
 	ctx := co.relayCtx
@@ -590,6 +594,11 @@ func (co *Coordinator) relayLoop(sub *submission) {
 		lastRemote uint64
 		finished   bool
 	)
+	defer func() {
+		if finished {
+			sub.tracer.Seal()
+		}
+	}()
 	// pump mirrors one worker event into the submission stream. Like
 	// the coordinator's JobView rewriting, the worker-local job id is
 	// replaced by the coordinator id and the shard is named, so
@@ -642,6 +651,7 @@ func (co *Coordinator) relayLoop(sub *submission) {
 				sub.tracer.Emit("job_finished", map[string]any{
 					"id": sub.id, "status": string(v.Status), "synthetic": true,
 				})
+				finished = true
 			}
 			return
 		}

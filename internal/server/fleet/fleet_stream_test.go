@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -318,5 +319,36 @@ func TestFleetMetricsFederation(t *testing.T) {
 	}
 	if !strings.Contains(body, "stochsyn_jobs_submitted_total{worker=\"w0\"}") {
 		t.Error("surviving worker's series vanished from the federation")
+	}
+}
+
+// TestFleetEventsReplayAfterRelay reads a submission's stream through
+// the coordinator, then again after its relay has ended (Close waits
+// for it), when the coordinator replays the submission's sealed log:
+// the two reads are byte for byte the same.
+func TestFleetEventsReplayAfterRelay(t *testing.T) {
+	ctx := context.Background()
+	w0 := newWorker(t, server.Config{Workers: 2, WorkerBudget: 4})
+	w1 := newWorker(t, server.Config{Workers: 2, WorkerBudget: 4})
+	defer w0.stop()
+	defer w1.stop()
+	co, ts, c := newFleet(t, w0, w1)
+	defer ts.Close()
+	var closeOnce sync.Once
+	closeCo := func() { closeOnce.Do(func() { co.Close() }) }
+	defer closeCo()
+
+	v, err := c.Submit(ctx, easySpec(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/jobs/" + v.ID + "/events"
+	first := getBody(t, url)
+	if n := strings.Count(first, "event: job_finished\n"); n != 1 || !strings.Contains(first, "event: fleet_forward\n") {
+		t.Fatalf("first read carries %d job_finished events (want 1) and must carry fleet_forward:\n%s", n, first)
+	}
+	closeCo()
+	if again := getBody(t, url); again != first {
+		t.Fatalf("stream read after the relay ended differs from the first read\nagain:\n%s\nfirst:\n%s", again, first)
 	}
 }

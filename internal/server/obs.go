@@ -114,6 +114,8 @@ func (s *Server) initObs() {
 	r.CounterFunc("stochsyn_trace_dropped_total", func() float64 { return float64(tr.SinkErrors()) }, "reason", "sink")
 	r.CounterFunc("stochsyn_trace_dropped_total", func() float64 { return float64(tr.SubscriberDrops()) }, "reason", "subscriber")
 	r.SetHelp("stochsyn_trace_dropped_total", "Trace events lost, by reason: ring (overwritten before a drain), sink (write failure or backlog overflow), subscriber (SSE consumer too slow).")
+	r.GaugeFunc("stochsyn_job_log_bytes", func() float64 { return float64(s.jobLogs().Bytes) })
+	r.SetHelp("stochsyn_job_log_bytes", "Bytes of sealed event logs (compressed SSE frames) held for finished jobs.")
 	r.GaugeFunc("stochsyn_queue_depth", func() float64 { return float64(len(s.queue)) })
 	r.GaugeFunc("stochsyn_queue_capacity", func() float64 { return float64(s.cfg.QueueDepth) })
 	r.GaugeFunc("stochsyn_busy_workers", func() float64 { return float64(s.busyWorkers.Load()) })

@@ -418,8 +418,10 @@ func (s *Server) finishFromCache(j *job, res stochsyn.Result) {
 	j.finished = now
 	close(j.done)
 	// Born-completed jobs never pass through finishWith, so the
-	// terminal event for their SSE stream is emitted here.
+	// terminal event for their SSE stream is emitted, and the log
+	// sealed, here.
 	j.emitFinished()
+	j.sealLog()
 }
 
 // lookupEqSat performs the second-level cache lookup: the result most
@@ -476,6 +478,19 @@ type Stats struct {
 	Dedup       DedupStats     `json:"dedup"`
 	Workers     PoolStats      `json:"workers"`
 	Trace       TraceStats     `json:"trace"`
+	JobLogs     JobLogStats    `json:"job_logs"`
+}
+
+// JobLogStats reports what finished jobs keep of their event streams:
+// a terminal job's trace fork is sealed into compressed SSE frames
+// (obs.Tracer.Seal), which GET /v1/jobs/{id}/events replays.
+type JobLogStats struct {
+	// Sealed is the number of jobs whose log is sealed.
+	Sealed int `json:"sealed"`
+	// Bytes is the total size of the sealed logs the server holds (the
+	// stochsyn_job_log_bytes gauge); Bytes/Sealed is what one finished
+	// job's stream costs.
+	Bytes int64 `json:"bytes"`
 }
 
 // TraceStats reports trace-event loss, totaled across the global
@@ -580,6 +595,21 @@ func (s *Server) jobCounts() JobCounts {
 	return c
 }
 
+// jobLogs walks the job table and totals the sealed event logs. Used
+// by Snapshot and by the stochsyn_job_log_bytes scrape-time gauge.
+func (s *Server) jobLogs() JobLogStats {
+	var st JobLogStats
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.order {
+		if n := j.tracer.SealedBytes(); n > 0 {
+			st.Sealed++
+			st.Bytes += int64(n)
+		}
+	}
+	return st
+}
+
 // Snapshot assembles the current Stats.
 func (s *Server) Snapshot() Stats {
 	up := time.Since(s.started)
@@ -633,6 +663,7 @@ func (s *Server) Snapshot() Stats {
 		SinkErrors:      s.obs.Trace().SinkErrors(),
 		SubscriberDrops: s.obs.Trace().SubscriberDrops(),
 	}
+	st.JobLogs = s.jobLogs()
 	return st
 }
 

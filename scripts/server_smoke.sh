@@ -1,7 +1,8 @@
 #!/bin/sh
 # server_smoke.sh boots synthd on an ephemeral port, submits a small
-# SyGuS job through `synth -remote`, checks the server solves it, and
-# scrapes /metrics to confirm the observability endpoints are live.
+# SyGuS job through `synth -remote`, checks the server solves it,
+# scrapes /metrics to confirm the observability endpoints are live, and
+# streams a job's events live, then again from its sealed log.
 # Run via `make server-smoke`.
 set -eu
 
@@ -70,6 +71,7 @@ for series in \
 	stochsyn_restarts_total \
 	stochsyn_job_run_seconds_count \
 	stochsyn_jobs_submitted_total \
+	stochsyn_job_log_bytes \
 	go_goroutines; do
 	grep -q "^$series" "$tmp/metrics" || {
 		echo "server-smoke: /metrics is missing $series" >&2
@@ -126,6 +128,49 @@ tail -n 3 "$tmp/stream" | grep -q '^event: job_finished$' || {
 	exit 1
 }
 echo "server-smoke: /v1/jobs/$id/events streamed and terminated OK"
+
+# A finished job's event log is sealed into compressed SSE frames
+# (/statsz job_logs counts them). Wait for the seal, then read the
+# stream again: the replay must be byte for byte the live read, and a
+# Last-Event-ID resume from a middle frame must be exactly its tail.
+sealed=
+i=0
+while [ $i -lt 100 ]; do
+	stats=$(curl -sf "http://$addr/statsz") || stats=
+	total=$(printf '%s\n' "$stats" | sed -n 's/^ *"total": \([0-9]*\).*/\1/p' | head -n 1)
+	sealed=$(printf '%s\n' "$stats" | sed -n 's/^ *"sealed": \([0-9]*\).*/\1/p' | head -n 1)
+	[ -n "$sealed" ] && [ "$sealed" = "$total" ] && break
+	i=$((i + 1))
+	sleep 0.1
+done
+if [ -z "$sealed" ] || [ "$sealed" != "$total" ]; then
+	echo "server-smoke: /statsz job_logs.sealed ($sealed) never reached the job count ($total)" >&2
+	exit 1
+fi
+bytes=$(printf '%s\n' "$stats" | sed -n 's/^ *"bytes": \([0-9]*\).*/\1/p' | head -n 1)
+curl -sN --max-time 30 "http://$addr/v1/jobs/$id/events" > "$tmp/replay" || {
+	echo "server-smoke: replaying the finished job's stream failed" >&2
+	exit 1
+}
+cmp -s "$tmp/stream" "$tmp/replay" || {
+	echo "server-smoke: the sealed replay differs from the live stream" >&2
+	diff "$tmp/stream" "$tmp/replay" | head -n 20 >&2
+	exit 1
+}
+frames=$(grep -c '^id: ' "$tmp/stream")
+mid=$(grep '^id: ' "$tmp/stream" | sed -n "$((frames / 2))p" | cut -d ' ' -f 2)
+awk -v id="$mid" 'found { print } $0 == "id: " id { skip = 1 } skip && $0 == "" { found = 1; skip = 0 }' \
+	"$tmp/stream" > "$tmp/tail.want"
+curl -sN --max-time 30 -H "Last-Event-ID: $mid" "http://$addr/v1/jobs/$id/events" > "$tmp/tail" || {
+	echo "server-smoke: resuming the finished job's stream failed" >&2
+	exit 1
+}
+[ -s "$tmp/tail" ] && cmp -s "$tmp/tail.want" "$tmp/tail" || {
+	echo "server-smoke: the resume after id $mid is not the stream's tail" >&2
+	diff "$tmp/tail.want" "$tmp/tail" | head -n 20 >&2
+	exit 1
+}
+echo "server-smoke: sealed replay ($frames frames; $sealed sealed logs, $bytes bytes) and resume after id $mid OK"
 
 kill -TERM "$pid"
 wait "$pid" 2>/dev/null || true
