@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-prune perfbench-test server-smoke fleet-smoke
+.PHONY: ci build vet fmt lint test race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-prune bench-check perfbench-test server-smoke fleet-smoke
 
 # gate runs one CI stage, echoing "ci: <name> ok" on success and
 # "ci: FAIL at gate <name>" (then exiting nonzero) on failure, so a
@@ -23,8 +23,8 @@ ci:
 	$(call gate,lint,$(GO) run ./cmd/repolint)
 	$(call gate,fuzz,$(GO) test -run FuzzIncrementalEval ./internal/search/ && $(GO) test -run FuzzOfPlanBlocks ./internal/cost/ && $(GO) test -run FuzzEqSat ./internal/eqsat/ && $(GO) test -run FuzzAbstractDomains ./internal/prog/analysis/absint/)
 	$(call gate,eqsat-smoke,$(GO) test -run TestEqSatSmoke -count=1 ./internal/eqsat/)
-	$(call gate,bench-prune,$(MAKE) -s bench-prune)
-	$(call gate,bench-eval,$(MAKE) -s bench-eval)
+	$(call gate,bench-prune,$(MAKE) -s bench-check EXP=prune)
+	$(call gate,bench-eval,$(MAKE) -s bench-check EXP=eval)
 	$(call gate,perfbench-test,$(MAKE) -s perfbench-test)
 	$(call gate,race,$(GO) test -race ./...)
 	$(call gate,exec-stress,$(MAKE) -s exec-stress)
@@ -83,8 +83,10 @@ bench-obs:
 # the engine and plan arms) — which is why it doubles as a ci gate.
 # The acceptance bar is >= 3x geomean iterations/sec for the plan
 # engine over the legacy path.
+BENCH_FLAGS_eval = -exp eval -budget 2000000
+
 bench-eval:
-	$(GO) run ./cmd/bench -exp eval -budget 2000000
+	$(GO) run ./cmd/bench $(BENCH_FLAGS_eval)
 
 # Compare stochastic size minimization, equality-saturation extraction,
 # and their hybrid on both suites (superopt references + expression
@@ -99,8 +101,19 @@ bench-eqsat:
 # the bench refuses to write the report on trajectory divergence, any
 # unsound prune decision, or reduction on fewer than half the rows —
 # which is why it doubles as a ci gate.
+BENCH_FLAGS_prune = -exp prune -budget 2000000
+
 bench-prune:
-	$(GO) run ./cmd/bench -exp prune -budget 2000000
+	$(GO) run ./cmd/bench $(BENCH_FLAGS_prune)
+
+# bench-check runs experiment EXP (eval or prune) as bench-$(EXP) does,
+# but from a temporary working directory that it then deletes, report
+# and all. ci gates on the experiment's refusal checks this way, so a
+# ci run leaves the committed BENCH_$(EXP).json as it is.
+bench-check:
+	$(if $(BENCH_FLAGS_$(EXP)),,$(error bench-check: EXP must be eval or prune))
+	@tmp="$$(mktemp -d)" && $(GO) build -o "$$tmp/bench" ./cmd/bench && \
+		(cd "$$tmp" && ./bench $(BENCH_FLAGS_$(EXP))); st=$$?; rm -rf "$$tmp"; exit $$st
 
 # Vet and run the benchmark harness's own tests. cmd/perfbench is a
 # module of its own (it replaces stochsyn with the repo root), so the

@@ -316,10 +316,22 @@ func (g *gateSearch) Step(budget int64) (int64, bool) {
 func (g *gateSearch) Cost() float64 { return 1 }
 
 // TestTreeExecOverlapsPasses holds the root's pass-2 step open and
-// requires a pass-3 leaf step to start meanwhile: an operation waits
-// on the tree nodes it touches, not on the end of the previous pass.
+// requires a pass-3 leaf step to start before it finishes: an
+// operation waits on the tree nodes it touches, not on the end of the
+// previous pass.
 func TestTreeExecOverlapsPasses(t *testing.T) {
 	const budget = 64 // with t0 = 1, also the most Step calls a run makes
+	// The wait has no wall-clock bound of its own. A correct executor
+	// starts both steps on every schedule, however loaded the machine;
+	// one that joins passes never starts the pass-3 step, and is
+	// reported when most of the test binary's time is gone, before its
+	// timeout would panic.
+	ctx := context.Background()
+	if d, ok := t.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, time.Now().Add(time.Until(d)*9/10))
+		defer cancel()
+	}
 	for _, adaptive := range []bool{false, true} {
 		// No swap ever moves a search, so search 0 stays at the root
 		// and its second Step call is the root's pass-2 step. Searches
@@ -333,22 +345,25 @@ func TestTreeExecOverlapsPasses(t *testing.T) {
 		done := make(chan Result, 1)
 		go func() { done <- (&Tree{T0: 1, Adaptive: adaptive, Workers: 2}).Run(f, budget) }()
 
-		held, overlapped := false, false
-		timeout := time.After(5 * time.Second)
+		// The pass-3 step may start before or after the root's pass-2
+		// step does (under Adaptive the latter waits on two swaps); it
+		// overlaps pass 2 either way, since the held step cannot finish
+		// until hold is closed.
+		held, sprouted := false, false
 	wait:
-		for !overlapped {
+		for !held || !sprouted {
 			select {
 			case c := <-started:
 				held = held || c == root2
-				overlapped = held && c.id >= 3
-			case <-timeout:
+				sprouted = sprouted || c.id >= 3
+			case <-ctx.Done():
 				break wait
 			}
 		}
 		close(hold)
 		got := <-done
-		if !overlapped {
-			t.Errorf("adaptive=%v: no pass-3 step started while the root's pass-2 step was held (root held: %v)",
+		if !held || !sprouted {
+			t.Errorf("adaptive=%v: no pass-3 step started before the root's held pass-2 step finished (root held: %v)",
 				adaptive, held)
 		}
 		want := (&Tree{T0: 1, Adaptive: adaptive}).Run(func(id uint64) search.Search {

@@ -320,16 +320,21 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 	// solution, re-verified against this submission's own example set
 	// before it is served (the entry was populated against different
 	// examples). A verified hit is promoted into this submission's
-	// canonical slot so exact resubmissions hit level 1 directly.
-	if res, ok := s.lookupEqSat(eqKey, problem); ok {
-		s.metrics.cacheHits.Inc()
-		s.metrics.eqsatHits.Inc()
-		s.obs.Trace().Emit("cache_eqsat_hit", map[string]any{"key": key, "eqsat_key": eqKey})
-		j := s.newJob(spec, problem, opts, key, structKey, eqKey, parent)
-		s.finishFromCache(j, res)
-		s.cache.put(key, structKey, eqKey, res)
-		s.register(j)
-		return j, nil
+	// canonical slot so exact resubmissions hit level 1 directly. It is
+	// consulted only when no identical job is in flight: a repeat of a
+	// running job joins it below and gets its original's program, not
+	// a rewrite-equivalent variant's.
+	if !s.inFlight(key) {
+		if res, ok := s.lookupEqSat(eqKey, problem); ok {
+			s.metrics.cacheHits.Inc()
+			s.metrics.eqsatHits.Inc()
+			s.obs.Trace().Emit("cache_eqsat_hit", map[string]any{"key": key, "eqsat_key": eqKey})
+			j := s.newJob(spec, problem, opts, key, structKey, eqKey, parent)
+			s.finishFromCache(j, res)
+			s.cache.put(key, structKey, eqKey, res)
+			s.register(j)
+			return j, nil
+		}
 	}
 	s.metrics.cacheMisses.Inc()
 	s.obs.Trace().Emit("cache_miss", map[string]any{"key": key})

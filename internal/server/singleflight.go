@@ -53,6 +53,14 @@ func (s *Server) joinOrLeadLocked(j *job) (follower bool) {
 	return false
 }
 
+// inFlight reports whether a flight is open for the canonical key.
+func (s *Server) inFlight(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.flights[key]
+	return ok
+}
+
 // jobTerminal is every job's onTerminal hook: when a flight leader
 // reaches a terminal state, resolve its flight. Follower and
 // cache-born jobs have no flight entry and return immediately.

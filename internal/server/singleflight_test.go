@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"stochsyn"
 	"stochsyn/internal/obs"
 	"stochsyn/internal/server"
 	"stochsyn/internal/server/client"
@@ -244,6 +245,78 @@ func TestSingleflightPromotion(t *testing.T) {
 	}
 	if st.Dedup.Joins != 1 || st.Dedup.Promotions != 1 {
 		t.Errorf("dedup = %+v, want 1 join and 1 promotion", st.Dedup)
+	}
+}
+
+// TestRepeatJoinsLeaderBeforeEqSat pins the lookup order after a
+// level-1 miss: an exact repeat of a running job joins it even when
+// the rewrite-equivalence level holds a verified solution for the same
+// expression, so the repeat gets its original's result and not a
+// variant's.
+func TestRepeatJoinsLeaderBeforeEqSat(t *testing.T) {
+	ctx := context.Background()
+	srv, ts, c := newTestServer(t, server.Config{Workers: 2, WorkerBudget: 2, CacheSize: 16})
+	defer ts.Close()
+	defer srv.Close()
+
+	spec := slowSpec(5)
+	leader, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, c, leader.ID)
+
+	// A level-2 entry for the leader's expression, holding the
+	// reference expression itself as a rewrite-equivalent job's
+	// solution would be.
+	_, opts, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqKey, err := server.EqSatCacheKey(spec.Problem.Expr, spec.Problem.Inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SeedEqSat(eqKey, stochsyn.Result{Solved: true, Program: spec.Problem.Expr, Iterations: 1, Seed: 5})
+
+	// The entry verifies: the same expression over other cases, which
+	// nothing is running, is served from it.
+	other := spec
+	other.Problem.CaseSeed = 4
+	hit, err := c.Submit(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.Result == nil || hit.Result.Program != spec.Problem.Expr {
+		t.Fatalf("level-2 entry not served to a rewrite-equivalent job: %+v", hit)
+	}
+
+	repeat, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repeat.Status.Terminal() {
+		t.Fatalf("repeat of a running job served at submit instead of joining it: %+v", repeat.Result)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
+	lv, err := c.Wait(wctx, leader.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, err := c.Wait(wctx, repeat.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lv.Status != server.StatusCompleted || lv.Result == nil || lv.Cached {
+		t.Fatalf("leader: %+v", lv)
+	}
+	if rv.Status != server.StatusCompleted || !rv.Deduped || rv.Cached || rv.Result == nil {
+		t.Fatalf("repeat did not join the leader: %+v", rv)
+	}
+	if rv.Result.Program != lv.Result.Program || rv.Result.Solved != lv.Result.Solved ||
+		rv.Result.Iterations != lv.Result.Iterations {
+		t.Errorf("repeat's result differs from the leader's:\n%+v\n%+v", rv.Result, lv.Result)
 	}
 }
 

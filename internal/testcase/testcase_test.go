@@ -3,6 +3,7 @@ package testcase
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -129,5 +130,69 @@ func TestPropertyGenerateRespectsArity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRowsAreCapacityLimited pins the suite layout: appending to one
+// case's Inputs must reallocate it, never overwrite the next case's
+// vector in the shared backing array.
+func TestRowsAreCapacityLimited(t *testing.T) {
+	gen := Generate(xorFunc, 2, 30, rand.New(rand.NewPCG(12, 12)))
+	for name, s := range map[string]*Suite{
+		"Generate":        gen,
+		"GenerateUniform": GenerateUniform(xorFunc, 2, 30, rand.New(rand.NewPCG(13, 13))),
+		"Clone":           gen.Clone(),
+	} {
+		want := s.Clone()
+		for i := range s.Cases {
+			if cap(s.Cases[i].Inputs) != len(s.Cases[i].Inputs) {
+				t.Fatalf("%s: case %d has cap %d > len %d", name, i, cap(s.Cases[i].Inputs), len(s.Cases[i].Inputs))
+			}
+			_ = append(s.Cases[i].Inputs, 0xdead, 0xbeef)
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("%s: appending to a case's Inputs changed the suite", name)
+		}
+	}
+}
+
+func TestCopyInputs(t *testing.T) {
+	in := [][]uint64{{1, 2}, {3}, nil, {4, 5, 6}}
+	s := &Suite{NumInputs: 2}
+	for i, v := range in {
+		s.Cases = append(s.Cases, Case{Inputs: v, Output: uint64(i)})
+	}
+	s.CopyInputs()
+	for i, v := range in {
+		if len(v) > 0 {
+			v[0] = 99
+		}
+		if got := s.Cases[i].Inputs; len(got) != len(v) || cap(got) != len(got) || len(got) > 0 && got[0] == 99 {
+			t.Errorf("case %d: Inputs %v (cap %d) after changing the source to %v", i, got, cap(got), v)
+		}
+	}
+}
+
+// TestGenerateAllocs pins that building a suite allocates nothing per
+// input vector: a 1000-case suite takes a dozen allocations, and only
+// the dedup map's tables grow with the case count. Formatting a dedup
+// key and allocating each vector took about 7 allocations a case.
+func TestGenerateAllocs(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		allocs := testing.AllocsPerRun(20, func() {
+			Generate(xorFunc, 2, n, rand.New(rand.NewPCG(9, 9)))
+		})
+		if allocs > 20 {
+			t.Errorf("Generate(%d cases) made %.0f allocations, want <= 20", n, allocs)
+		}
+	}
+}
+
+// BenchmarkGenerate builds the 1000-case, 2-input suite of a wide
+// workload problem: RNG draws, deduplication and case storage.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Generate(xorFunc, 2, 1000, rand.New(rand.NewPCG(9, 9)))
 	}
 }

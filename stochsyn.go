@@ -57,18 +57,17 @@ type Problem struct {
 
 // NewProblem builds a problem from explicit examples. All cases must
 // have exactly numInputs inputs, and numInputs must be at most
-// MaxInputs.
+// MaxInputs. The problem keeps its own copy of the examples: changing
+// cases afterwards does not change it.
 func NewProblem(numInputs int, cases []Case) (*Problem, error) {
 	if numInputs > MaxInputs {
 		return nil, fmt.Errorf("stochsyn: %w: %d inputs exceeds the limit of %d", ErrInvalidProblem, numInputs, MaxInputs)
 	}
-	s := &testcase.Suite{NumInputs: numInputs}
-	for _, c := range cases {
-		s.Cases = append(s.Cases, testcase.Case{
-			Inputs: append([]uint64(nil), c.Inputs...),
-			Output: c.Output,
-		})
+	s := &testcase.Suite{NumInputs: numInputs, Cases: make([]testcase.Case, len(cases))}
+	for i, c := range cases {
+		s.Cases[i] = testcase.Case(c)
 	}
+	s.CopyInputs()
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("stochsyn: %w: %v", ErrInvalidProblem, err)
 	}
@@ -97,11 +96,17 @@ func (p *Problem) NumInputs() int { return p.suite.NumInputs }
 // NumCases returns the number of examples.
 func (p *Problem) NumCases() int { return p.suite.Len() }
 
-// Cases returns a copy of the problem's examples.
+// Cases returns a copy of the problem's examples. The copied input
+// vectors are capacity-limited rows of one backing array that the
+// problem does not share.
 func (p *Problem) Cases() []Case {
-	out := make([]Case, 0, p.suite.Len())
-	for _, c := range p.suite.Cases {
-		out = append(out, Case{Inputs: append([]uint64(nil), c.Inputs...), Output: c.Output})
+	w := p.suite.NumInputs
+	rows := make([]uint64, len(p.suite.Cases)*w)
+	out := make([]Case, len(p.suite.Cases))
+	for i, c := range p.suite.Cases {
+		in := rows[i*w : (i+1)*w : (i+1)*w]
+		copy(in, c.Inputs)
+		out[i] = Case{Inputs: in, Output: c.Output}
 	}
 	return out
 }

@@ -62,19 +62,29 @@ func TestNewProblem(t *testing.T) {
 }
 
 func TestCasesCopied(t *testing.T) {
-	cases := []Case{{Inputs: []uint64{1, 2}, Output: 3}}
+	cases := []Case{{Inputs: []uint64{1, 2}, Output: 3}, {Inputs: []uint64{4, 5}, Output: 9}}
 	p, err := NewProblem(2, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := p.Cases()
 	cases[0].Inputs[0] = 99
-	if p.Cases()[0].Inputs[0] == 99 {
+	cases[1].Inputs[1] = 98
+	if !reflect.DeepEqual(p.Cases(), want) {
 		t.Error("NewProblem aliases caller storage")
 	}
 	got := p.Cases()
 	got[0].Inputs[0] = 77
-	if p.Cases()[0].Inputs[0] == 77 {
+	if !reflect.DeepEqual(p.Cases(), want) {
 		t.Error("Cases returns aliased storage")
+	}
+	// Inputs are rows of one backing array, in the problem and in each
+	// copy Cases returns; appending to one row must not reach the next.
+	got = p.Cases()
+	_ = append(got[0].Inputs, 0xdead)
+	_ = append(p.suite.Cases[0].Inputs, 0xdead)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(p.Cases(), want) {
+		t.Error("appending to one case's Inputs overwrote the next case")
 	}
 }
 
@@ -578,5 +588,21 @@ func TestSynthesizeEqSat(t *testing.T) {
 	res.Duration, again.Duration = 0, 0
 	if !reflect.DeepEqual(res, again) {
 		t.Fatalf("EqSat run not deterministic:\n  %+v\n  %+v", res, again)
+	}
+}
+
+// BenchmarkNewProblem copies a 1000-case, 2-input example set into a
+// problem, as synthd does for every examples spec.
+func BenchmarkNewProblem(b *testing.B) {
+	src, err := ProblemFromFunc(func(in []uint64) uint64 { return in[0] ^ in[1] }, 2, 1000, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := src.Cases()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewProblem(2, cases); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
