@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-prune bench-check perfbench-test server-smoke fleet-smoke
+.PHONY: ci build vet fmt lint test purego race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-prune bench-check perfbench-test server-smoke fleet-smoke
 
 # gate runs one CI stage, echoing "ci: <name> ok" on success and
 # "ci: FAIL at gate <name>" (then exiting nonzero) on failure, so a
@@ -22,6 +22,7 @@ ci:
 	$(call gate,fmt,$(MAKE) -s fmt)
 	$(call gate,lint,$(GO) run ./cmd/repolint)
 	$(call gate,fuzz,$(GO) test -run FuzzIncrementalEval ./internal/search/ && $(GO) test -run FuzzOfPlanBlocks ./internal/cost/ && $(GO) test -run FuzzEqSat ./internal/eqsat/ && $(GO) test -run FuzzAbstractDomains ./internal/prog/analysis/absint/)
+	$(call gate,purego,$(MAKE) -s purego)
 	$(call gate,eqsat-smoke,$(GO) test -run TestEqSatSmoke -count=1 ./internal/eqsat/)
 	$(call gate,bench-prune,$(MAKE) -s bench-check EXP=prune)
 	$(call gate,bench-eval,$(MAKE) -s bench-check EXP=eval)
@@ -30,7 +31,7 @@ ci:
 	$(call gate,exec-stress,$(MAKE) -s exec-stress)
 	$(call gate,server-smoke,sh scripts/server_smoke.sh)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] eqsat-smoke bench-prune bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] purego[scalar kernels + arm64 vet] eqsat-smoke bench-prune bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -53,6 +54,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The portable path. On amd64 with AVX-512 the plan kernels and cost
+# sums run as vector assembly; the purego build tag (the Go convention
+# for "no assembly") selects the scalar Go kernels, the only path on
+# other CPUs and other GOARCH values. Test the packages that carry them
+# and replay the two bit-identity fuzz corpora on that path, then vet
+# the plan and cost packages for arm64, where no assembly builds.
+purego:
+	$(GO) test -tags purego ./internal/prog/plan/ ./internal/cost/ ./internal/search/ .
+	$(GO) test -tags purego -run FuzzIncrementalEval ./internal/search/
+	$(GO) test -tags purego -run FuzzOfPlanBlocks ./internal/cost/
+	GOARCH=arm64 $(GO) vet ./internal/prog/plan/ ./internal/cost/
 
 # Repeat the concurrent tree executor's tests under the race detector:
 # oracle equivalence, cancellation, pass overlap and early-solve exit

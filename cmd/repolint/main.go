@@ -58,8 +58,12 @@
 //     [prog.NumOps]Kernels array). As with check 5, a missing row is a
 //     nil kernel that panics only when the opcode is first compiled;
 //     pseudo-ops and ops lowered through the generic fill/copy kernels
-//     must take the zero Kernels row deliberately. Tables are again
-//     classified by element signature, not variable name.
+//     must take the zero Kernels row deliberately. A Kernels table of
+//     assembly functions (the AVX-512 table) must be total as well,
+//     with each row serving exactly its scalar row's forms; only the
+//     pseudo-ops and division and remainder may fall back to scalar.
+//     Tables are again classified by element signature and content,
+//     not variable name.
 //
 // Usage:
 //
@@ -571,15 +575,26 @@ func checkEvalContainment(fset *token.FileSet, tp *typedPkg, modPath, importPath
 	return findings
 }
 
+// opTable is one [...]Elem array composite literal keyed by prog.Op:
+// the name of its element type, and for each opcode that appears as an
+// explicit key, the names of the row's fields set to something other
+// than nil (for struct rows; empty for other element types). asm
+// reports whether some row value names a function declared without a
+// body, i.e. one implemented in assembly.
+type opTable struct {
+	elem string
+	rows map[string]map[string]bool
+	asm  bool
+}
+
 // opKeyedTables is the shared machinery of the table-totality checks
-// (5 and 6): it returns the sorted exported prog.Op constant names and,
-// for each requested element type name, the set of opcode names that
-// appear as explicit keys in some [...]Elem array composite literal of
-// tp. Tables are identified by element signature, not by variable
+// (5 and 6): it returns the sorted exported prog.Op constant names and
+// every opcode-keyed array literal of tp whose element type is one of
+// elems. Tables are identified by element signature, not by variable
 // name, and keys are resolved through the type-checker, so neither
 // renaming a table nor spelling a key through an alias evades a check
 // built on this.
-func opKeyedTables(ld *loader, tp *typedPkg, modPath string, elems ...string) ([]string, map[string]map[string]bool, error) {
+func opKeyedTables(ld *loader, tp *typedPkg, modPath string, elems ...string) ([]string, []opTable, error) {
 	progPkg, err := ld.load(modPath + "/internal/prog")
 	if err != nil {
 		return nil, nil, err
@@ -601,12 +616,20 @@ func opKeyedTables(ld *loader, tp *typedPkg, modPath string, elems ...string) ([
 	}
 	sort.Strings(ops)
 
+	// Functions declared without a body are implemented in assembly.
+	bodiless := map[types.Object]bool{}
+	for _, f := range tp.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body == nil {
+				bodiless[tp.info.Defs[fd.Name]] = true
+			}
+		}
+	}
 	wanted := map[string]bool{}
 	for _, e := range elems {
 		wanted[e] = true
 	}
-	// Element type name → set of opcode names keyed in that table.
-	tables := map[string]map[string]bool{}
+	var tables []opTable
 	for _, f := range tp.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			cl, ok := n.(*ast.CompositeLit)
@@ -629,11 +652,8 @@ func opKeyedTables(ld *loader, tp *typedPkg, modPath string, elems ...string) ([
 			if !wanted[en] {
 				return true
 			}
-			keys := tables[en]
-			if keys == nil {
-				keys = map[string]bool{}
-				tables[en] = keys
-			}
+			tbl := opTable{elem: en, rows: map[string]map[string]bool{}}
+			st, _ := elem.Underlying().(*types.Struct)
 			for _, el := range cl.Elts {
 				kv, ok := el.(*ast.KeyValueExpr)
 				if !ok {
@@ -648,10 +668,34 @@ func opKeyedTables(ld *loader, tp *typedPkg, modPath string, elems ...string) ([
 				default:
 					continue
 				}
-				if c, ok := tp.info.Uses[id].(*types.Const); ok && isOp(c.Type()) {
-					keys[c.Name()] = true
+				c, ok := tp.info.Uses[id].(*types.Const)
+				if !ok || !isOp(c.Type()) {
+					continue
 				}
+				fields := map[string]bool{}
+				if row, ok := kv.Value.(*ast.CompositeLit); ok && st != nil {
+					for i, fe := range row.Elts {
+						name, val := "", fe
+						if fkv, ok := fe.(*ast.KeyValueExpr); ok {
+							if fid, ok := fkv.Key.(*ast.Ident); ok {
+								name = fid.Name
+							}
+							val = fkv.Value
+						} else if i < st.NumFields() {
+							name = st.Field(i).Name()
+						}
+						if name == "" || isNilIdent(tp.info, val) {
+							continue
+						}
+						fields[name] = true
+						if vid, ok := val.(*ast.Ident); ok && bodiless[tp.info.Uses[vid]] {
+							tbl.asm = true
+						}
+					}
+				}
+				tbl.rows[c.Name()] = fields
 			}
+			tables = append(tables, tbl)
 			return true
 		})
 	}
@@ -667,48 +711,113 @@ func checkAbsintTables(ld *loader, tp *typedPkg, modPath string) ([]string, erro
 		return nil, err
 	}
 	var findings []string
-	for _, tbl := range []string{"BitsTransfer", "SpanTransfer"} {
-		keys, ok := tables[tbl]
-		if !ok {
+	for _, elem := range []string{"BitsTransfer", "SpanTransfer"} {
+		var keys map[string]bool
+		for _, t := range tables {
+			if t.elem != elem {
+				continue
+			}
+			if keys == nil {
+				keys = map[string]bool{}
+			}
+			for op := range t.rows {
+				keys[op] = true
+			}
+		}
+		if keys == nil {
 			findings = append(findings, fmt.Sprintf(
-				"internal/prog/analysis/absint: no transfer table with element type %s found (see cmd/repolint check 5)", tbl))
+				"internal/prog/analysis/absint: no transfer table with element type %s found (see cmd/repolint check 5)", elem))
 			continue
 		}
 		for _, op := range ops {
 			if !keys[op] {
 				findings = append(findings, fmt.Sprintf(
 					"internal/prog/analysis/absint: prog.%s missing from the %s table; every opcode needs an explicit entry in both domains (register topB/topS deliberately — see cmd/repolint check 5)",
-					op, tbl))
+					op, elem))
 			}
 		}
 	}
 	return findings, nil
 }
 
-// checkPlanTable enforces check 6: every prog.Op constant appears as
-// an explicit key in the plan compiler's fusion table (the
-// [prog.NumOps]Kernels array of internal/prog/plan). A missing row is
-// a nil kernel that panics only when the new opcode is first compiled
-// into a plan; ops with no kernels of their own (pseudo-ops, ops the
-// compiler lowers through the fill/copy kernels) must take the zero
-// Kernels row deliberately.
+// vectorScalarOps are the opcodes whose vector-table rows may leave
+// forms nil and so fall back to the scalar kernels: the pseudo-ops,
+// which compile through the fill and copy kernels, and division and
+// remainder, because AVX-512 has no integer divide.
+var vectorScalarOps = map[string]bool{
+	"OpInvalid": true, "OpInput": true, "OpConst": true,
+	"OpDivU": true, "OpRemU": true, "OpDivS": true, "OpRemS": true,
+}
+
+// checkPlanTable enforces check 6 on the plan compiler's kernel tables
+// (the [prog.NumOps]Kernels arrays of internal/prog/plan). A table
+// whose kernels are Go functions is the scalar fusion table; one whose
+// kernels are implemented in assembly is a vector table.
+//
+// Every prog.Op constant must appear as an explicit key in the scalar
+// table. A missing row is a nil kernel that panics only when the new
+// opcode is first compiled into a plan; ops with no kernels of their
+// own (pseudo-ops, ops the compiler lowers through the fill/copy
+// kernels) must take the zero Kernels row deliberately.
+//
+// A vector table must be total too, and each row must have exactly
+// its scalar row's forms (VV, VI, IV): a missing form silently falls
+// back to the scalar kernel, and an extra one has no reference. Only
+// the rows of vectorScalarOps may leave forms nil.
 func checkPlanTable(ld *loader, tp *typedPkg, modPath string) ([]string, error) {
 	ops, tables, err := opKeyedTables(ld, tp, modPath, "Kernels")
 	if err != nil {
 		return nil, err
 	}
 	var findings []string
-	keys, ok := tables["Kernels"]
-	if !ok {
+	var scalar map[string]map[string]bool
+	for _, t := range tables {
+		if t.asm {
+			continue
+		}
+		if scalar == nil {
+			scalar = map[string]map[string]bool{}
+		}
+		for op, f := range t.rows {
+			scalar[op] = f
+		}
+	}
+	if scalar == nil {
 		findings = append(findings, fmt.Sprintf(
 			"internal/prog/plan: no fusion table with element type Kernels found (see cmd/repolint check 6)"))
 		return findings, nil
 	}
 	for _, op := range ops {
-		if !keys[op] {
+		if _, ok := scalar[op]; !ok {
 			findings = append(findings, fmt.Sprintf(
 				"internal/prog/plan: prog.%s missing from the Kernels fusion table; every opcode needs an explicit row (pseudo-ops take the zero row deliberately — see cmd/repolint check 6)",
 				op))
+		}
+	}
+	for _, t := range tables {
+		if !t.asm {
+			continue
+		}
+		for _, op := range ops {
+			row, ok := t.rows[op]
+			if !ok {
+				findings = append(findings, fmt.Sprintf(
+					"internal/prog/plan: prog.%s missing from the vector Kernels table; every opcode needs an explicit row (see cmd/repolint check 6)",
+					op))
+				continue
+			}
+			for _, form := range []string{"VV", "VI", "IV"} {
+				switch {
+				case scalar[op][form] && !row[form] && !vectorScalarOps[op]:
+					findings = append(findings, fmt.Sprintf(
+						"internal/prog/plan: prog.%s has no vector %s kernel, so that form falls back to scalar; only the pseudo-ops and division and remainder may (see cmd/repolint check 6)",
+						op, form))
+				case row[form] && !scalar[op][form]:
+					findings = append(findings, fmt.Sprintf(
+						"internal/prog/plan: prog.%s has a vector %s kernel but no scalar one to test it against (see cmd/repolint check 6)",
+						op, form))
+				}
+			}
 		}
 	}
 	return findings, nil

@@ -312,6 +312,90 @@ var _ = fusion
 	}
 }
 
+// TestVectorTableTotality exercises check 6's vector-table rule on a
+// fake module: a scalar table of Go kernels and a vector table of
+// assembly kernels (functions declared without a body). The vector
+// table misses OpShl, leaves OpAdd's VI form nil, and gives OpSub an IV
+// kernel the scalar row lacks; each is reported. Its zero OpDivU and
+// OpInvalid rows fall back to scalar deliberately and are not.
+func TestVectorTableTotality(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":              "module fakemod\n\ngo 1.22\n",
+		"internal/obs/obs.go": obsSrc,
+		"internal/prog/prog.go": `package prog
+
+type Op uint8
+
+const (
+	OpInvalid Op = iota
+	OpAdd
+	OpSub
+	OpShl
+	OpDivU
+	numOps
+)
+
+const NumOps = int(numOps)
+`,
+		"internal/prog/plan/plan.go": `package plan
+
+import "fakemod/internal/prog"
+
+type kernel func(t *int, c0, c1 int)
+
+type Kernels struct {
+	VV kernel
+	VI kernel
+	IV kernel
+}
+
+func vv(t *int, c0, c1 int) {}
+
+var fusion = [prog.NumOps]Kernels{
+	prog.OpInvalid: {},
+	prog.OpAdd:     {VV: vv, VI: vv},
+	prog.OpSub:     {vv, vv, nil},
+	prog.OpShl:     {VV: vv, VI: vv, IV: vv},
+	prog.OpDivU:    {VV: vv, VI: vv, IV: vv},
+}
+
+var _ = fusion
+`,
+		"internal/prog/plan/vector.go": `package plan
+
+import "fakemod/internal/prog"
+
+func avxVV(t *int, c0, c1 int)
+
+var avx = [prog.NumOps]Kernels{
+	prog.OpInvalid: {},
+	prog.OpAdd:     {VV: avxVV, VI: nil},
+	prog.OpSub:     {VV: avxVV, VI: avxVV, IV: avxVV},
+	prog.OpDivU:    {},
+	// prog.OpShl deliberately missing.
+}
+
+var _ = avx
+`,
+	})
+	n, out := lint(t, dir)
+	for _, want := range []string{
+		"prog.OpShl missing from the vector Kernels table",
+		"prog.OpAdd has no vector VI kernel, so that form falls back to scalar",
+		"prog.OpSub has a vector IV kernel but no scalar one",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if n != 3 {
+		t.Errorf("findings = %d, want 3\n%s", n, out)
+	}
+	if strings.Contains(out, "OpDivU") || strings.Contains(out, "OpInvalid") || strings.Contains(out, "fusion table") {
+		t.Errorf("deliberate scalar fallbacks or the complete scalar table wrongly flagged:\n%s", out)
+	}
+}
+
 // TestRepoIsClean pins the acceptance criterion: the linter reports
 // zero findings on this repository itself. make ci runs the same
 // check; this test keeps it enforced under plain go test.

@@ -44,6 +44,7 @@ import (
 	"stochsyn/internal/prog"
 	"stochsyn/internal/prog/analysis"
 	"stochsyn/internal/prog/analysis/absint"
+	"stochsyn/internal/prog/plan"
 	"stochsyn/internal/restart"
 	"stochsyn/internal/search"
 	"stochsyn/internal/server"
@@ -238,6 +239,7 @@ func printRunStats(w io.Writer, o *obs.Obs, res restart.Result, elapsed time.Dur
 	}
 	fmt.Fprintf(w, "restarts:   %d searches%s\n", restarts, note)
 	fmt.Fprintf(w, "plateaus:   %.0f\n", o.Reg.Counter("stochsyn_search_plateaus_total").Value())
+	fmt.Fprintf(w, "kernels:    %s\n", plan.KernelSet())
 
 	// Incremental-evaluation reuse: how much column and case work the
 	// engine skipped relative to full re-evaluation of every proposal.

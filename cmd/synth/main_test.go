@@ -3,9 +3,23 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"stochsyn/internal/obs"
 	"stochsyn/internal/prog"
+	"stochsyn/internal/prog/plan"
+	"stochsyn/internal/restart"
 )
+
+// TestRunStatsNameKernels checks that -stats says which plan kernels
+// produced its throughput figure.
+func TestRunStatsNameKernels(t *testing.T) {
+	var b strings.Builder
+	printRunStats(&b, obs.New(), restart.Result{Iterations: 10, Searches: 1}, time.Second)
+	if want := "kernels:    " + plan.KernelSet() + "\n"; !strings.Contains(b.String(), want) {
+		t.Fatalf("-stats report lacks %q:\n%s", want, b.String())
+	}
+}
 
 func TestParseSpec(t *testing.T) {
 	src := `

@@ -234,8 +234,9 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 //
 // The Hamming and IncorrectTests arms sum in an int (exact: every
 // partial sum is far below 2^53, so the final conversion equals the
-// per-case float adds of OfState) and run the tape in blocks sized by
-// the bound. lim is the largest partial sum that does not pass bound
+// per-case float adds of OfState), each tape run's cases in one call of
+// hammingSum or mismatchSum (8 cases per instruction on AVX-512), and
+// run the tape in blocks sized by the bound. lim is the largest partial sum that does not pass bound
 // (sumLimit). From a chunk boundary with partial sum d, the next
 // (lim-d)/maxPerCase cases cannot lift the sum past lim, so every
 // chunk-boundary check among them would pass; one tape run covers
@@ -260,10 +261,7 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 		for c0 := 0; c0 < n; {
 			c1 := blockEnd(c0, n, (lim-d)/64)
 			e.RunTape(c0, c1)
-			got, w := root[c0:c1], want[c0:c1]
-			for c, x := range got {
-				d += bits.Distance(x, w[c])
-			}
+			d += hammingSum(root[c0:c1], want[c0:c1])
 			if d > lim {
 				return inf
 			}
@@ -276,12 +274,7 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 		for c0 := 0; c0 < n; {
 			c1 := blockEnd(c0, n, lim-d)
 			e.RunTape(c0, c1)
-			got, w := root[c0:c1], want[c0:c1]
-			for c, x := range got {
-				if x != w[c] {
-					d++
-				}
-			}
+			d += mismatchSum(root[c0:c1], want[c0:c1])
 			if d > lim {
 				return inf
 			}

@@ -1,5 +1,7 @@
 package plan
 
+//go:generate go run stochsyn/cmd/genkernels
+
 import (
 	mathbits "math/bits"
 
@@ -22,7 +24,9 @@ import (
 // a data-dependent branch.
 //
 // Kernels come in up to three fusion variants per opcode, selected by
-// the compiler from the fusion table below:
+// the compiler from the fusion table (scalar below, with the vector
+// kernels of kernels_amd64.s installed over it where the CPU runs
+// them):
 //
 //	VV — both operands read from columns (the general form)
 //	VI — right operand is a compile-time constant (imm); invariant
@@ -35,9 +39,9 @@ type kernel func(t *tapeEntry, c0, c1 int)
 // Kernels is one fusion-table row: the kernel variants of a single
 // opcode. The zero value (pseudo-ops) compiles through dedicated
 // fill/copy kernels instead. cmd/repolint check 6 requires every
-// prog.Op to appear as an explicit key in the [prog.NumOps]Kernels
-// table, so adding an opcode without deciding its kernels is a lint
-// failure, not a latent nil-kernel panic.
+// prog.Op to appear as an explicit key in each [prog.NumOps]Kernels
+// table, scalar and vector, so adding an opcode without deciding its
+// kernels is a lint failure, not a latent nil-kernel panic.
 type Kernels struct {
 	VV kernel
 	VI kernel
@@ -902,15 +906,17 @@ func vvMShr(t *tapeEntry, c0, c1 int) {
 	}
 }
 
-// fusion is the compiler's kernel table, indexed by opcode. Every
-// prog.Op must appear as an explicit key — cmd/repolint check 6
-// enforces totality exactly as check 5 does for the absint transfer
-// tables — so a new opcode cannot silently compile to a nil kernel.
-// Pseudo-ops take the zero row: the compiler routes them through the
-// dedicated fill/copy kernels before consulting the table. The model
-// bitwise ops share kernels with their full-set counterparts (their
-// evalOp arms are identical); the model shifts are unary.
-var fusion = [prog.NumOps]Kernels{
+// scalar is the portable kernel table, indexed by opcode: the
+// reference every vector kernel is tested against, and the only table
+// on CPUs and builds without one. Every prog.Op must appear as an
+// explicit key — cmd/repolint check 6 enforces totality exactly as
+// check 5 does for the absint transfer tables — so a new opcode cannot
+// silently compile to a nil kernel. Pseudo-ops take the zero row: the
+// compiler routes them through the dedicated fill/copy kernels before
+// consulting the table. The model bitwise ops share kernels with their
+// full-set counterparts (their evalOp arms are identical); the model
+// shifts are unary.
+var scalar = [prog.NumOps]Kernels{
 	prog.OpInvalid: {},
 	prog.OpInput:   {},
 	prog.OpConst:   {},
@@ -967,3 +973,46 @@ var fusion = [prog.NumOps]Kernels{
 	prog.OpMShl: {VV: vvMShl},
 	prog.OpMShr: {VV: vvMShr},
 }
+
+// fusion is the table the compiler reads and fill the kernel it
+// broadcasts constants with. Both start as the scalar kernels; at init,
+// a build with a vector table installs every vector form its CPU can
+// run (useVector, called from vector_amd64.go) before any State exists.
+// kernelSet names the result; vector and vectorFill are the installed
+// vector table and fill kernel, nil when only the scalar kernels run.
+var (
+	fusion     = scalar
+	fill       = kernel(kFill)
+	kernelSet  = "scalar"
+	vector     *[prog.NumOps]Kernels
+	vectorFill kernel
+)
+
+// useVector installs table and vfill over the scalar kernels: a form
+// the scalar row has and the vector row provides is replaced, a nil
+// form or a zero row keeps the scalar kernel, and no form is added, so
+// the compiler picks the same forms on either kernel set.
+func useVector(name string, table *[prog.NumOps]Kernels, vfill kernel) {
+	for op := range fusion {
+		s, v := &fusion[op], &table[op]
+		if s.VV != nil && v.VV != nil {
+			s.VV = v.VV
+		}
+		if s.VI != nil && v.VI != nil {
+			s.VI = v.VI
+		}
+		if s.IV != nil && v.IV != nil {
+			s.IV = v.IV
+		}
+	}
+	fill = vfill
+	kernelSet = name
+	vector, vectorFill = table, vfill
+}
+
+// KernelSet names the kernels this process's tapes run: "avx512" when
+// the AVX-512 kernels were installed at init, "scalar" for the portable
+// Go kernels (other CPUs, other GOARCH values, and the purego build
+// tag). The choice is made once, from the CPU alone, and never changes
+// a value, only how fast the values are computed.
+func KernelSet() string { return kernelSet }

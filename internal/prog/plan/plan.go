@@ -236,9 +236,21 @@ func (e *State) Reset(p *prog.Program) {
 		if op.argB >= 0 {
 			t.b = e.cols[op.argB]
 		}
+		e.checkBinding(t)
 		t.kern(t, 0, e.ncases)
 	}
 	e.rebuildPops()
+}
+
+// checkBinding panics unless every column bound to t holds exactly
+// ncases words. The vector kernels index their columns without bounds
+// checks, so each binding is checked once, where it is made (Reset, and
+// Begin for the live and deferred tapes), instead of once per case.
+func (e *State) checkBinding(t *tapeEntry) {
+	n := e.ncases
+	if len(t.dst) != n || t.a != nil && len(t.a) != n || t.b != nil && len(t.b) != n {
+		panic("plan: tape entry bound to a column without one word per case")
+	}
 }
 
 // compileFull lowers every node of p into a shareable recipe, folding
@@ -294,7 +306,7 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	nd := &p.Nodes[i]
 	switch nd.Op {
 	case prog.OpConst:
-		return compiledOp{kern: kFill, argA: -1, argB: -1, imm: nd.Val}, false
+		return compiledOp{kern: fill, argA: -1, argB: -1, imm: nd.Val}, false
 	case prog.OpInput:
 		// Defensive, mirroring the interpreted engine: body nodes are
 		// never inputs, but compile to a copy of the input column if
@@ -303,7 +315,7 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	}
 	if v, ok := exactVal(p, facts, i); ok {
 		// The whole node is pinned to one value across the suite.
-		return compiledOp{kern: kFill, argA: -1, argB: -1, imm: v}, true
+		return compiledOp{kern: fill, argA: -1, argB: -1, imm: v}, true
 	}
 	ks := &fusion[nd.Op]
 	if ks.VV == nil {
@@ -312,7 +324,7 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	a := nd.Args[0]
 	if nd.Op.Arity() == 1 {
 		if va, ok := exactVal(p, facts, a); ok {
-			return compiledOp{kern: kFill, argA: -1, argB: -1, imm: prog.EvalOp(nd.Op, va, 0)}, true
+			return compiledOp{kern: fill, argA: -1, argB: -1, imm: prog.EvalOp(nd.Op, va, 0)}, true
 		}
 		return compiledOp{kern: ks.VV, argA: a, argB: -1}, false
 	}
@@ -321,7 +333,7 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	vb, bok := exactVal(p, facts, b)
 	switch {
 	case aok && bok:
-		return compiledOp{kern: kFill, argA: -1, argB: -1, imm: prog.EvalOp(nd.Op, va, vb)}, true
+		return compiledOp{kern: fill, argA: -1, argB: -1, imm: prog.EvalOp(nd.Op, va, vb)}, true
 	case bok && ks.VI != nil:
 		return compiledOp{kern: ks.VI, argA: a, argB: -1, imm: vb}, true
 	case aok && commutative[nd.Op] && ks.VI != nil:
@@ -481,6 +493,7 @@ func (e *State) Begin(j *prog.Journal) {
 		t.imm = op.imm
 		t.a = e.column(op.argA)
 		t.b = e.column(op.argB)
+		e.checkBinding(t)
 	}
 	e.rootCol = e.column(p.Root)
 	e.pstats.Patches += int64(nd)
@@ -507,8 +520,12 @@ func (e *State) column(i int32) []uint64 {
 // (cost.Kind.OfPlan) reads the root once via ProposalRoot instead of
 // reslicing per run, and runs ranges of several EvalChunk blocks when
 // the bound allows. Work accounting matches EvalRange exactly (it is
-// EvalRange minus the reslice).
+// EvalRange minus the reslice). The range must lie within the suite:
+// the vector kernels do not check it per case, so it is checked here.
 func (e *State) RunTape(c0, c1 int) {
+	if c0 < 0 || c0 > c1 || c1 > e.ncases {
+		panic("plan: RunTape range outside the suite")
+	}
 	tape := e.tape[:e.nlive]
 	for k := range tape {
 		t := &tape[k]

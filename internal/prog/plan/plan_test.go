@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -41,82 +42,166 @@ func randProgram(rng *rand.Rand, numInputs, body int) *prog.Program {
 	return p
 }
 
-// TestKernelsMatchEvalOp pins every fusion-table kernel — VV, VI, and
-// IV variants — to the per-case EvalOp reference for every
-// instruction opcode, called the way tapes call them (one bound entry
-// and a range), including split ranges not aligned to EvalChunk
-// (blocked execution must be seamless) and boundary shift amounts in
-// both column and immediate positions.
+// kernelSet is one complete kernel table and its fill kernel.
+type kernelSetCase struct {
+	name  string
+	table *[prog.NumOps]Kernels
+	fill  kernel
+}
+
+// kernelSets returns the scalar kernels and, where this build and CPU
+// run them, the vector kernels installed at init.
+func kernelSets(t testing.TB) []kernelSetCase {
+	sets := []kernelSetCase{{"scalar", &scalar, kFill}}
+	if vector != nil {
+		sets = append(sets, kernelSetCase{KernelSet(), vector, vectorFill})
+	} else {
+		t.Logf("no vector kernels on this build or CPU: scalar only")
+	}
+	return sets
+}
+
+// TestKernelsMatchEvalOp pins every kernel of both tables, scalar and
+// vector — VV, VI, and IV variants, and the fill kernel — to the
+// per-case EvalOp reference for every instruction opcode, called the
+// way tapes call them (one bound entry and a range). Ranges start at
+// unaligned c0 and run 0 to 33 cases, so every vector kernel's masked
+// tail runs at every length; the words before c0 and from c1 on hold
+// a sentinel that must survive. Operand columns mix random words with
+// boundary values (shift and rotate counts around 31/32/63/64,
+// MinInt64 over a -1 divisor) in both column and immediate positions.
 func TestKernelsMatchEvalOp(t *testing.T) {
-	const n = 37
+	const maxLen, pad = 33, 8
+	const sentinel = 0xdeadbeefdeadbeef
 	rng := rand.New(rand.NewPCG(1, 2))
-	a := make([]uint64, n)
-	b := make([]uint64, n)
-	for c := 0; c < n; c++ {
-		a[c], b[c] = rng.Uint64(), rng.Uint64()
-	}
 	boundary := []uint64{0, 1, 31, 32, 63, 64, 65, ^uint64(0),
-		uint64(1) << 63, ^uint64(0) - 1, 2}
-	// Boundary shift/rotate/divisor amounts at the front of both
-	// operand columns.
-	copy(a, boundary)
-	copy(b, boundary)
-	a[0] = uint64(1) << 63 // MinInt64 over a -1 divisor in early cases
+		uint64(1) << 63, ^uint64(0) - 1, 2, 0x80, 0x8000, 0x80000000, 0xffffffff}
+	const n = pad + maxLen + pad
+	col := func() []uint64 {
+		c := make([]uint64, n)
+		for i := range c {
+			if rng.IntN(2) == 0 {
+				c[i] = boundary[rng.IntN(len(boundary))]
+			} else {
+				c[i] = rng.Uint64() >> (rng.IntN(4) * 16)
+			}
+		}
+		return c
+	}
+	a, b := col(), col()
 	dst := make([]uint64, n)
-	run := func(k kernel, av, bv []uint64, imm uint64) {
-		for c := range dst {
-			dst[c] = 0xdeadbeefdeadbeef // poison
-		}
-		t := &tapeEntry{kern: k, dst: dst, a: av, b: bv, imm: imm}
-		t.kern(t, 0, 17)
-		t.kern(t, 17, n)
-	}
-	for op := prog.OpConst + 1; op < prog.Op(prog.NumOps); op++ {
-		ks := &fusion[op]
-		if ks.VV == nil {
-			t.Fatalf("%v: no VV kernel", op)
-		}
-		if op.Arity() == 1 {
-			if ks.VI != nil || ks.IV != nil {
-				t.Fatalf("%v: unary opcode with immediate kernel variants", op)
-			}
-			run(ks.VV, a, nil, 0)
-			for c := 0; c < n; c++ {
-				if want := prog.EvalOp(op, a[c], 0); dst[c] != want {
-					t.Fatalf("%v VV case %d: kernel %#x, EvalOp %#x", op, c, dst[c], want)
+	// check runs kern on [c0, c0+m) for every length m and the offsets
+	// below, and compares each case with want(c) and every other word
+	// with the sentinel.
+	check := func(set, what string, kern kernel, av, bv []uint64, imm uint64, want func(c int) uint64) {
+		t.Helper()
+		for _, c0 := range []int{0, 1, 3, 7, pad} {
+			for m := 0; m <= maxLen; m++ {
+				for c := range dst {
+					dst[c] = sentinel
 				}
-			}
-			continue
-		}
-		run(ks.VV, a, b, 0)
-		for c := 0; c < n; c++ {
-			if want := prog.EvalOp(op, a[c], b[c]); dst[c] != want {
-				t.Fatalf("%v VV case %d: kernel %#x, EvalOp %#x", op, c, dst[c], want)
-			}
-		}
-		if ks.VI != nil {
-			for _, imm := range boundary {
-				run(ks.VI, a, nil, imm)
-				for c := 0; c < n; c++ {
-					if want := prog.EvalOp(op, a[c], imm); dst[c] != want {
-						t.Fatalf("%v VI imm=%#x case %d: kernel %#x, EvalOp %#x",
-							op, imm, c, dst[c], want)
+				e := &tapeEntry{kern: kern, dst: dst, a: av, b: bv, imm: imm}
+				e.kern(e, c0, c0+m)
+				for c := range dst {
+					w := uint64(sentinel)
+					if c >= c0 && c < c0+m {
+						w = want(c)
 					}
-				}
-			}
-		}
-		if ks.IV != nil {
-			for _, imm := range boundary {
-				run(ks.IV, nil, b, imm)
-				for c := 0; c < n; c++ {
-					if want := prog.EvalOp(op, imm, b[c]); dst[c] != want {
-						t.Fatalf("%v IV imm=%#x case %d: kernel %#x, EvalOp %#x",
-							op, imm, c, dst[c], want)
+					if dst[c] != w {
+						t.Fatalf("%s %s c0=%d len=%d case %d: kernel %#x, want %#x",
+							set, what, c0, m, c, dst[c], w)
 					}
 				}
 			}
 		}
 	}
+	for _, ks := range kernelSets(t) {
+		for _, imm := range boundary {
+			check(ks.name, fmt.Sprintf("fill imm=%#x", imm), ks.fill, nil, nil, imm,
+				func(int) uint64 { return imm })
+		}
+		for op := prog.OpConst + 1; op < prog.Op(prog.NumOps); op++ {
+			row := &ks.table[op]
+			if row.VV != nil {
+				if op.Arity() == 1 {
+					check(ks.name, op.String()+" VV", row.VV, a, nil, 0,
+						func(c int) uint64 { return prog.EvalOp(op, a[c], 0) })
+				} else {
+					check(ks.name, op.String()+" VV", row.VV, a, b, 0,
+						func(c int) uint64 { return prog.EvalOp(op, a[c], b[c]) })
+				}
+			}
+			for _, imm := range boundary {
+				if row.VI != nil {
+					check(ks.name, fmt.Sprintf("%v VI imm=%#x", op, imm), row.VI, a, nil, imm,
+						func(c int) uint64 { return prog.EvalOp(op, a[c], imm) })
+				}
+				if row.IV != nil {
+					check(ks.name, fmt.Sprintf("%v IV imm=%#x", op, imm), row.IV, nil, b, imm,
+						func(c int) uint64 { return prog.EvalOp(op, imm, b[c]) })
+				}
+			}
+		}
+	}
+}
+
+// TestKernelTables checks the shape of both tables: every instruction
+// opcode has a scalar VV kernel, unary opcodes have no immediate forms,
+// and a vector row has exactly its scalar row's forms, except that the
+// division and remainder rows (AVX-512 has no integer divide) are zero
+// and keep the scalar kernels.
+func TestKernelTables(t *testing.T) {
+	scalarOnly := map[prog.Op]bool{prog.OpDivU: true, prog.OpRemU: true, prog.OpDivS: true, prog.OpRemS: true}
+	for _, ks := range kernelSets(t) {
+		for op := prog.Op(0); op < prog.Op(prog.NumOps); op++ {
+			row := &ks.table[op]
+			if op <= prog.OpConst || ks.table != &scalar && scalarOnly[op] {
+				if row.VV != nil || row.VI != nil || row.IV != nil {
+					t.Errorf("%s %v: want a zero row", ks.name, op)
+				}
+				continue
+			}
+			s := &scalar[op]
+			if row.VV == nil || (row.VI == nil) != (s.VI == nil) || (row.IV == nil) != (s.IV == nil) {
+				t.Errorf("%s %v: forms VV=%t VI=%t IV=%t, scalar VV=%t VI=%t IV=%t", ks.name, op,
+					row.VV != nil, row.VI != nil, row.IV != nil, s.VV != nil, s.VI != nil, s.IV != nil)
+			}
+			if op.Arity() == 1 && (row.VI != nil || row.IV != nil) {
+				t.Errorf("%s %v: unary opcode with immediate kernel variants", ks.name, op)
+			}
+		}
+	}
+}
+
+// TestBindingsAndRangesChecked pins the checks that stand in for the
+// bounds checks the vector kernels do not make: a tape entry bound to
+// a column without one word per case, and a RunTape range outside the
+// suite, panic before any kernel runs.
+func TestBindingsAndRangesChecked(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewPCG(9, 9))
+	e := New(constInputSuite(rng, n, 7))
+	e.Reset(randProgram(rng, 2, 4))
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	col, short := make([]uint64, n), make([]uint64, n-1)
+	e.checkBinding(&tapeEntry{dst: col, a: col, b: col})
+	e.checkBinding(&tapeEntry{dst: col})
+	mustPanic("short dst", func() { e.checkBinding(&tapeEntry{dst: short}) })
+	mustPanic("short a", func() { e.checkBinding(&tapeEntry{dst: col, a: short}) })
+	mustPanic("short b", func() { e.checkBinding(&tapeEntry{dst: col, a: col, b: short}) })
+	e.RunTape(0, n)
+	e.RunTape(3, 3)
+	mustPanic("range past the suite", func() { e.RunTape(0, n+1) })
+	mustPanic("negative start", func() { e.RunTape(-1, 4) })
+	mustPanic("reversed range", func() { e.RunTape(5, 4) })
 }
 
 // TestCommutativeTable verifies the operand-swap fusion premise: every

@@ -14,6 +14,7 @@ import (
 
 	"stochsyn"
 	"stochsyn/internal/obs"
+	"stochsyn/internal/prog/plan"
 )
 
 // Config sizes the server. The zero value selects sensible defaults.
@@ -484,6 +485,10 @@ type Stats struct {
 	Workers     PoolStats      `json:"workers"`
 	Trace       TraceStats     `json:"trace"`
 	JobLogs     JobLogStats    `json:"job_logs"`
+	// Kernels names the plan kernels this process's searches run
+	// (plan.KernelSet: "avx512" or "scalar"), so a throughput figure can
+	// be matched to the path that produced it.
+	Kernels string `json:"kernels"`
 }
 
 // JobLogStats reports what finished jobs keep of their event streams:
@@ -625,6 +630,7 @@ func (s *Server) Snapshot() Stats {
 		QueueCapacity: s.cfg.QueueDepth,
 		Submitted:     int64(s.metrics.submitted.Value()),
 		Rejected:      int64(s.metrics.rejected.Value()),
+		Kernels:       plan.KernelSet(),
 	}
 	st.Jobs = s.jobCounts()
 	st.JobsByState = map[string]int{
