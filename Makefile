@@ -82,20 +82,22 @@ short:
 bench-exec:
 	$(GO) run ./cmd/bench -exp exec -problems 4 -budget 2000000
 
-# Compare the bare search loop against the fully instrumented one
-# (metrics registry + tracer attached). The acceptance bar for the
-# observability layer is <= 2% overhead on ns/iter.
+# Compare the bare search loop (baseline, plan engine) against the
+# instrumented one (metrics registry attached) and the streamed one
+# (tracer with cost sampling and a live subscriber). The acceptance bar
+# for the observability layer is <= 2% overhead on ns/iter.
 bench-obs:
 	$(GO) test ./internal/search/ -run '^$$' -bench BenchmarkSearchLoop -benchtime 2s -count 3
 
-# Compare the compiled plan engine and the interpreted incremental
-# engine against the legacy copy-based path on the standing benchmark
-# problems (same seed, same trajectory) and write BENCH_eval.json.
-# Every row is measured twice per arm; the bench refuses to write the
-# report on any fingerprint divergence (between repeats, or between
-# the engine and plan arms) — which is why it doubles as a ci gate.
-# The acceptance bar is >= 3x geomean iterations/sec for the plan
-# engine over the legacy path.
+# Compare the compiled plan engine against the from-scratch reference
+# engine (the "legacy" arm, search.Options.LegacyEval) on the standing
+# benchmark problems (same seed, same trajectory) and write
+# BENCH_eval.json. Every row is measured twice per arm; the bench
+# refuses to write the report on any fingerprint divergence — restart
+# count or any of the four evaluation counters, between repeats or
+# between the two arms — which is why it doubles as a ci gate. The
+# acceptance bar is >= 3x geomean iterations/sec for the plan engine
+# over the reference engine.
 BENCH_FLAGS_eval = -exp eval -budget 2000000
 
 bench-eval:

@@ -23,62 +23,54 @@ type evalCase struct {
 	Cases  int    `json:"cases"`
 
 	LegacyItersPerSec float64 `json:"legacy_iters_per_sec"`
-	EngineItersPerSec float64 `json:"engine_iters_per_sec"`
 	PlanItersPerSec   float64 `json:"plan_iters_per_sec"`
-	EngineSpeedup     float64 `json:"engine_speedup"`
 	PlanSpeedup       float64 `json:"plan_speedup"`
-	PlanVsEngine      float64 `json:"plan_vs_engine"`
 	NodeReuseRate     float64 `json:"node_reuse_rate"`
 	CaseSkipRate      float64 `json:"case_skip_rate"`
 }
 
 // evalReport is the BENCH_eval.json payload.
 type evalReport struct {
-	Date                 string      `json:"date"`
-	Budget               int64       `json:"budget_per_path"`
-	Seed                 uint64      `json:"seed"`
-	Rows                 []*evalCase `json:"rows"`
-	GeomeanEngineSpeedup float64     `json:"geomean_engine_speedup"`
-	GeomeanPlanSpeedup   float64     `json:"geomean_plan_speedup"`
-	GeomeanPlanVsEngine  float64     `json:"geomean_plan_vs_engine"`
+	Date               string      `json:"date"`
+	Budget             int64       `json:"budget_per_path"`
+	Seed               uint64      `json:"seed"`
+	Rows               []*evalCase `json:"rows"`
+	GeomeanPlanSpeedup float64     `json:"geomean_plan_speedup"`
 }
 
 // evalArm selects which evaluation path measureEval drives.
 type evalArm uint8
 
 const (
-	armLegacy evalArm = iota // copy-based per-case tree walk
-	armEngine                // interpreted incremental engine
+	armLegacy evalArm = iota // from-scratch reference engine (search.Options.LegacyEval)
 	armPlan                  // compiled plan engine (the default path)
 )
 
 func (a evalArm) String() string {
-	switch a {
-	case armLegacy:
+	if a == armLegacy {
 		return "legacy"
-	case armEngine:
-		return "engine"
 	}
 	return "plan"
 }
 
 // evalPrint is the trajectory fingerprint of one measured path: the
 // restart count plus the cumulative evaluation-work counters. Two runs
-// of the same arm must reproduce it exactly, and the engine and plan
-// arms must agree with each other — the three paths are required to
-// walk bit-identical trajectories, so any divergence voids the
-// comparison and the benchmark refuses to write a report.
+// of the same arm must reproduce it exactly, and the two arms must
+// agree with each other — they are required to walk bit-identical
+// trajectories and count their work by the same definitions, so any
+// divergence voids the comparison and the benchmark refuses to write a
+// report.
 type evalPrint struct {
 	restarts uint64
 	stats    prog.EvalStats
 }
 
-// runEval compares the compiled plan engine and the interpreted
-// incremental engine against the legacy copy-based path on the
-// standing benchmark problems: same seed, same options, so all paths
+// runEval compares the compiled plan engine against the from-scratch
+// reference engine ("legacy", search.Options.LegacyEval) on the
+// standing benchmark problems: same seed, same options, so both paths
 // walk the identical (bit-equal) trajectory and the measurement
 // isolates evaluation cost. Every row is measured twice per arm; the
-// benchmark aborts if the repeats or the engine/plan fingerprints
+// benchmark aborts if the repeats or the two arms' fingerprints
 // diverge. The report is printed and written to BENCH_eval.json.
 func runEval(cfg benchConfig) {
 	rows := []*evalCase{
@@ -88,18 +80,17 @@ func runEval(cfg benchConfig) {
 		{Name: "smallsuite", Expr: "xorq(x, shrq(x, 1))", Inputs: 1, Cases: 16},
 	}
 	budget := cfg.budget
-	fmt.Printf("plan + incremental engines vs legacy copy-based path (budget=%d per row, seed=%d)\n",
+	fmt.Printf("plan engine vs from-scratch reference engine (budget=%d per row, seed=%d)\n",
 		budget, cfg.seed)
-	fmt.Printf("%-12s %6s %6s  %11s %11s %11s %7s %7s %7s  %7s %7s\n",
-		"problem", "inputs", "cases", "legacy it/s", "engine it/s", "plan it/s",
-		"eng/leg", "pln/leg", "pln/eng", "reuse", "skip")
+	fmt.Printf("%-12s %6s %6s  %11s %11s %7s  %7s %7s\n",
+		"problem", "inputs", "cases", "legacy it/s", "plan it/s", "pln/leg", "reuse", "skip")
 	report := evalReport{
 		Date:   time.Now().UTC().Format(time.RFC3339),
 		Budget: budget,
 		Seed:   cfg.seed,
 		Rows:   rows,
 	}
-	logEng, logPlan, logPvE, n := 0.0, 0.0, 0.0, 0
+	logPlan, n := 0.0, 0
 	for _, row := range rows {
 		ref := prog.MustParse(row.Expr, row.Inputs)
 		rng := rand.New(rand.NewPCG(cfg.seed, 0xda7a5e7))
@@ -107,23 +98,14 @@ func runEval(cfg benchConfig) {
 			row.Inputs, row.Cases, rng)
 		opts := search.Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: cfg.seed}
 
-		var prints [3]evalPrint
+		var prints [2]evalPrint
 		row.LegacyItersPerSec = measureTwice(row.Name, suite, opts, budget, armLegacy, &prints[armLegacy])
-		row.EngineItersPerSec = measureTwice(row.Name, suite, opts, budget, armEngine, &prints[armEngine])
 		row.PlanItersPerSec = measureTwice(row.Name, suite, opts, budget, armPlan, &prints[armPlan])
-		// The legacy arm reports no eval-work counters, but its restart
-		// count must still match: all three arms replay one trajectory.
-		if prints[armLegacy].restarts != prints[armPlan].restarts {
-			fatal(fmt.Errorf("bench eval: %s: legacy walked %d restarts, plan %d — trajectories diverged",
-				row.Name, prints[armLegacy].restarts, prints[armPlan].restarts))
+		if prints[armLegacy] != prints[armPlan] {
+			fatal(fmt.Errorf("bench eval: %s: legacy and plan fingerprints diverged\nlegacy: %+v\nplan:   %+v",
+				row.Name, prints[armLegacy], prints[armPlan]))
 		}
-		if prints[armEngine] != prints[armPlan] {
-			fatal(fmt.Errorf("bench eval: %s: engine and plan fingerprints diverged\nengine: %+v\nplan:   %+v",
-				row.Name, prints[armEngine], prints[armPlan]))
-		}
-		row.EngineSpeedup = row.EngineItersPerSec / row.LegacyItersPerSec
 		row.PlanSpeedup = row.PlanItersPerSec / row.LegacyItersPerSec
-		row.PlanVsEngine = row.PlanItersPerSec / row.EngineItersPerSec
 		stats := prints[armPlan].stats
 		if stats.NodesTotal > 0 {
 			row.NodeReuseRate = 1 - float64(stats.NodesReevaluated)/float64(stats.NodesTotal)
@@ -131,21 +113,15 @@ func runEval(cfg benchConfig) {
 		if stats.CasesTotal > 0 {
 			row.CaseSkipRate = 1 - float64(stats.CasesEvaluated)/float64(stats.CasesTotal)
 		}
-		logEng += math.Log(row.EngineSpeedup)
 		logPlan += math.Log(row.PlanSpeedup)
-		logPvE += math.Log(row.PlanVsEngine)
 		n++
-		fmt.Printf("%-12s %6d %6d  %11.0f %11.0f %11.0f %6.2fx %6.2fx %6.2fx  %6.1f%% %6.1f%%\n",
+		fmt.Printf("%-12s %6d %6d  %11.0f %11.0f %6.2fx  %6.1f%% %6.1f%%\n",
 			row.Name, row.Inputs, row.Cases,
-			row.LegacyItersPerSec, row.EngineItersPerSec, row.PlanItersPerSec,
-			row.EngineSpeedup, row.PlanSpeedup, row.PlanVsEngine,
+			row.LegacyItersPerSec, row.PlanItersPerSec, row.PlanSpeedup,
 			100*row.NodeReuseRate, 100*row.CaseSkipRate)
 	}
-	report.GeomeanEngineSpeedup = math.Exp(logEng / float64(n))
 	report.GeomeanPlanSpeedup = math.Exp(logPlan / float64(n))
-	report.GeomeanPlanVsEngine = math.Exp(logPvE / float64(n))
-	fmt.Printf("geomean speedup: engine %.2fx, plan %.2fx (plan vs engine %.2fx)\n",
-		report.GeomeanEngineSpeedup, report.GeomeanPlanSpeedup, report.GeomeanPlanVsEngine)
+	fmt.Printf("geomean speedup: plan %.2fx over legacy\n", report.GeomeanPlanSpeedup)
 
 	f, err := os.Create("BENCH_eval.json")
 	if err != nil {
@@ -183,7 +159,6 @@ func measureTwice(name string, suite *testcase.Suite, opts search.Options, budge
 // paths do identical logical work for a fair clock.
 func measureEval(suite *testcase.Suite, opts search.Options, budget int64, arm evalArm, print *evalPrint) float64 {
 	opts.LegacyEval = arm == armLegacy
-	opts.InterpEval = arm == armEngine
 	var done int64
 	*print = evalPrint{}
 	// flush folds the current run's cumulative engine stats into the

@@ -23,17 +23,17 @@
 //     rebind-then-check idiom the hot paths use. Package internal/obs
 //     itself is exempt: that is where the nil-safe wrappers live.
 //
-//  3. eval: direct calls to the legacy per-case evaluator
-//     (*prog.Program).Eval are confined to internal/prog (its home),
-//     internal/cost (the copy-based reference path and Solves), and
-//     internal/prog/analysis (constant folding over concrete values).
-//     Everything else must evaluate through the incremental engine
-//     (prog.EvalState) or the cost layer, so the engine stays the
+//  3. eval: direct calls to the per-case evaluator
+//     (*prog.Program).Eval are confined to internal/prog (its home and
+//     the reference engine prog.RefEval), internal/cost (Of and
+//     Solves), and internal/prog/analysis (constant folding over
+//     concrete values). Everything else must evaluate through the plan
+//     engine (plan.State) or the cost layer, so the engine stays the
 //     single hot-path door and its reuse telemetry stays honest. The
 //     sanctioned fallback prog.EvalInto may additionally be called
-//     from internal/mutate (the merge move's legacy probe when no
-//     engine is bound). Test files are exempt: differential tests
-//     deliberately compare the engine against Program.Eval.
+//     from internal/mutate (the merge move's probe when no engine is
+//     bound). Test files are exempt: differential tests deliberately
+//     compare the engine against Program.Eval.
 //
 //  4. rules: every internal/prog/analysis Rule composite literal must
 //     carry a literal, unique Name string. The name is the join key
@@ -511,8 +511,8 @@ func checkHookAccess(fset *token.FileSet, tp *typedPkg, modPath string) []string
 // may call (*prog.Program).Eval directly; everything else goes
 // through the incremental engine or the cost layer.
 var evalAllowed = map[string]bool{
-	"internal/prog":          true, // home of the evaluator
-	"internal/cost":          true, // copy-based reference path, Solves
+	"internal/prog":          true, // home of the evaluator and of RefEval
+	"internal/cost":          true, // Of, Solves
 	"internal/prog/analysis": true, // constant folding over concrete values
 }
 
@@ -554,7 +554,7 @@ func checkEvalContainment(fset *token.FileSet, tp *typedPkg, modPath, importPath
 				se.Sel.Name == "Eval" && isProgProgram(info.TypeOf(se.X)) {
 				if !evalAllowed[rel] {
 					findings = append(findings, fmt.Sprintf(
-						"%s: direct (*prog.Program).Eval call outside its containment list; evaluate through prog.EvalState or the cost layer (see cmd/repolint check 3)",
+						"%s: direct (*prog.Program).Eval call outside its containment list; evaluate through plan.State or the cost layer (see cmd/repolint check 3)",
 						fset.Position(se.Sel.Pos())))
 				}
 				return true
@@ -565,7 +565,7 @@ func checkEvalContainment(fset *token.FileSet, tp *typedPkg, modPath, importPath
 				if obj, ok := info.Uses[se.Sel].(*types.Func); ok &&
 					obj.Pkg() != nil && obj.Pkg().Path() == progPath && !evalIntoAllowed[rel] {
 					findings = append(findings, fmt.Sprintf(
-						"%s: prog.EvalInto call outside internal/mutate; evaluate through prog.EvalState or the cost layer (see cmd/repolint check 3)",
+						"%s: prog.EvalInto call outside internal/mutate; evaluate through plan.State or the cost layer (see cmd/repolint check 3)",
 						fset.Position(se.Sel.Pos())))
 				}
 			}

@@ -15,7 +15,7 @@ import (
 	"stochsyn/internal/testcase"
 )
 
-// inf is the rejection sentinel returned by OfBounded.
+// inf is the rejection sentinel the bounded cost paths return.
 var inf = math.Inf(1)
 
 // Kind selects a cost function.
@@ -86,29 +86,16 @@ func (k Kind) PerCase(got, want uint64) float64 {
 }
 
 // Of evaluates program p on every case of suite s and returns the
-// total cost. vals must have length >= p.Len(); it is scratch space so
-// the hot loop performs no allocation. Of is OfBounded with an
-// infinite bound: the per-case summation order is identical, so the
-// two agree bit-for-bit whenever OfBounded does not abort.
+// total cost, summed per case in case order like every cost path here,
+// so it is bit-equal to OfColumn on p's root column. vals must have
+// length >= p.Len(); it is scratch space so the loop performs no
+// allocation. The search loop does not call it: it evaluates through
+// an engine and OfPlan or OfState.
 func (k Kind) Of(p *prog.Program, s *testcase.Suite, vals []uint64) float64 {
-	return k.OfBounded(p, s, vals, inf)
-}
-
-// OfBounded is Of with an early abort: because per-case costs are
-// non-negative, once the partial sum exceeds bound the proposal is
-// certain to be rejected, so evaluation stops and +Inf is returned.
-// The search draws its acceptance threshold before evaluating, which
-// makes this optimization exact (it never changes accept/reject
-// decisions) while skipping most of the work for bad proposals.
-func (k Kind) OfBounded(p *prog.Program, s *testcase.Suite, vals []uint64, bound float64) float64 {
 	total := 0.0
 	for i := range s.Cases {
 		c := &s.Cases[i]
-		got := p.Eval(c.Inputs, vals)
-		total += k.PerCase(got, c.Output)
-		if total > bound {
-			return inf
-		}
+		total += k.PerCase(p.Eval(c.Inputs, vals), c.Output)
 	}
 	return total
 }
@@ -143,11 +130,11 @@ func (k Kind) OfColumn(root []uint64, s *testcase.Suite) float64 {
 	return total
 }
 
-// Source is the column producer OfState consumes: an incremental
-// evaluation engine with an active proposal. Both the interpreted
-// engine (prog.EvalState) and the compiled plan engine (plan.State)
-// satisfy it; the cost layer is indifferent to how the root column
-// gets computed as long as blocks arrive in case order.
+// Source is the column producer OfState consumes: an evaluation engine
+// with an active proposal. Both the reference engine (prog.RefEval) and
+// the compiled plan engine (plan.State) satisfy it; the cost layer is
+// indifferent to how the root column gets computed as long as blocks
+// arrive in case order.
 type Source interface {
 	// Suite returns the test suite the proposal is evaluated against.
 	Suite() *testcase.Suite
@@ -157,14 +144,19 @@ type Source interface {
 }
 
 // OfState evaluates the engine's active proposal and returns its total
-// cost, aborting with +Inf once the partial sum exceeds bound. It
-// pulls root values from the engine in EvalChunk-case blocks but sums
-// and bound-checks per case in case order, so the returned total (and
-// the abort decision) is bit-identical to OfBounded on the proposal
-// program. A non-Inf return implies every case block was pulled, which
-// is exactly the precondition of the engines' Commit. As in OfColumn,
-// the Kind dispatch runs once per call instead of once per case; the
-// per-arm bodies and summation order are unchanged.
+// cost, aborting with +Inf once the partial sum exceeds bound. Because
+// per-case costs are non-negative, a partial sum past the bound means
+// the proposal is certain to be rejected; the search draws its
+// acceptance threshold before evaluating, so the abort never changes a
+// decision while skipping most of the work for bad proposals. It pulls
+// root values from the engine in EvalChunk-case blocks but sums and
+// bound-checks per case in case order, so a total within the bound is
+// bit-identical to Of on the proposal program. A non-Inf return implies
+// every case block was pulled, which is exactly the precondition of the
+// engines' Commit. As in OfColumn, the Kind dispatch runs once per call
+// instead of once per case. It is the reference arm's cost path, and
+// the per-chunk reference that OfPlan's tests and benchmark compare
+// against.
 func (k Kind) OfState(e Source, bound float64) float64 {
 	s := e.Suite()
 	cases := s.Cases

@@ -116,28 +116,44 @@ func TestOfMatchesSolves(t *testing.T) {
 	}
 }
 
+// ofBounded is k.OfState on p as the active proposal of a reference
+// engine: an edit that changes nothing, so the proposal is p itself.
+func ofBounded(k Kind, e *prog.RefEval, p *prog.Program, bound float64) float64 {
+	var j prog.Journal
+	e.Reset(p)
+	p.BeginEdit(&j)
+	e.Begin(&j)
+	c := k.OfState(e, bound)
+	e.Abort()
+	p.Rollback()
+	return c
+}
+
 func TestOfBoundedExact(t *testing.T) {
-	// OfBounded must agree with Of whenever the true cost is within
-	// the bound, and must return +Inf beyond it.
+	// The bounded cost (OfState over the reference engine) must agree
+	// with Of whenever the true cost is within the bound, and must
+	// return +Inf beyond it.
 	s := suiteFor(t, func(in []uint64) uint64 { return in[0] ^ in[1] }, 2, 40)
 	p := prog.MustParse("andq(x, y)", 2)
+	e := prog.NewRefEval(s)
 	var vals [prog.MaxNodes]uint64
 	for _, k := range Kinds {
 		full := k.Of(p, s, vals[:])
-		if got := k.OfBounded(p, s, vals[:], full); got != full {
-			t.Errorf("%s OfBounded(bound=cost) = %g, want %g", k, got, full)
+		if got := ofBounded(k, e, p, full); got != full {
+			t.Errorf("%s OfState(bound=cost) = %g, want %g", k, got, full)
 		}
-		if got := k.OfBounded(p, s, vals[:], full+1); got != full {
-			t.Errorf("%s OfBounded(bound=cost+1) = %g, want %g", k, got, full)
+		if got := ofBounded(k, e, p, full+1); got != full {
+			t.Errorf("%s OfState(bound=cost+1) = %g, want %g", k, got, full)
 		}
-		if got := k.OfBounded(p, s, vals[:], full/2); !math.IsInf(got, 1) {
-			t.Errorf("%s OfBounded(bound=cost/2) = %g, want +Inf", k, got)
+		if got := ofBounded(k, e, p, full/2); !math.IsInf(got, 1) {
+			t.Errorf("%s OfState(bound=cost/2) = %g, want +Inf", k, got)
 		}
 	}
 }
 
 func TestPropertyOfBoundedConsistent(t *testing.T) {
 	s := suiteFor(t, func(in []uint64) uint64 { return in[0] + in[1] }, 2, 20)
+	e := prog.NewRefEval(s)
 	f := func(seed uint64, boundRaw uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, 77))
 		// A random small program.
@@ -156,7 +172,7 @@ func TestPropertyOfBoundedConsistent(t *testing.T) {
 		bound := float64(boundRaw)
 		for _, k := range Kinds {
 			full := k.Of(p, s, vals[:])
-			got := k.OfBounded(p, s, vals[:], bound)
+			got := ofBounded(k, e, p, bound)
 			if full <= bound && got != full {
 				return false
 			}

@@ -99,10 +99,9 @@ func New(set *prog.OpSet, suite *testcase.Suite, redundancy bool) *Mutator {
 // Moves returns the enabled move types.
 func (m *Mutator) Moves() []Move { return m.moves }
 
-// Eval is the committed-value-matrix view the redundancy move reads
-// its signature probes from. Both the interpreted engine
-// (prog.EvalState) and the compiled plan engine (plan.State) satisfy
-// it.
+// Eval is the committed-value view the redundancy move reads its
+// signature probes from. Both the compiled plan engine (plan.State)
+// and the reference engine (prog.RefEval) satisfy it.
 type Eval interface {
 	// Program returns the program the committed columns describe.
 	Program() *prog.Program
@@ -111,13 +110,14 @@ type Eval interface {
 	CaseValues(c int, dst []uint64)
 }
 
-// BindEval attaches the incremental evaluation engine whose committed
-// columns describe the programs this mutator will be applied to. The
-// redundancy move then reads its signature probes straight from the
-// value matrix — the values are identical to a fresh evaluation, so
-// binding never changes proposals, only their cost. Pass nil to detach
-// (the legacy reference path evaluates per probe); callers must pass
-// an untyped nil, never a nil concrete engine pointer.
+// BindEval attaches the evaluation engine whose committed values
+// describe the programs this mutator will be applied to. The
+// redundancy move then reads its signature probes from the engine
+// (straight from the plan engine's value matrix) — the values are
+// identical to a fresh evaluation, so binding never changes proposals,
+// only their cost. Pass nil to detach (an unbound mutator evaluates
+// per probe with prog.EvalInto); callers must pass an untyped nil,
+// never a nil concrete engine pointer.
 func (m *Mutator) BindEval(es Eval) { m.es = es }
 
 // SetWeights installs a non-uniform move-selection distribution (the

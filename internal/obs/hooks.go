@@ -40,8 +40,9 @@ type SearchHooks struct {
 	// recomputed and the columns a full re-evaluation would have
 	// computed; 1 - reevaluated/total is the engine's column reuse
 	// rate. EvalCasesEvaluated and EvalCasesTotal do the same for
-	// suite cases, exposing the early-abort saving. All four stay at
-	// zero under Options.LegacyEval.
+	// suite cases, exposing the early-abort saving. The reference
+	// engine (Options.LegacyEval) counts them by the same definitions,
+	// so both arms report the same values on the same trajectory.
 	EvalNodesReevaluated *Counter
 	EvalNodesTotal       *Counter
 	EvalCasesEvaluated   *Counter
@@ -54,7 +55,7 @@ type SearchHooks struct {
 	// across proposals, and PlanFusedNodes counts nodes lowered to a
 	// fused form (constant-folded whole or an immediate-operand kernel
 	// variant). All four stay at zero unless the compiled plan engine
-	// is in use (the default; see search.Options.InterpEval).
+	// is in use (the default; see search.Options.LegacyEval).
 	PlanCompiles   *Counter
 	PlanCacheHits  *Counter
 	PlanPatches    *Counter

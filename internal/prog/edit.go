@@ -7,24 +7,25 @@ import mathbits "math/bits"
 // (BeginEdit) records, for every node the edit overwrites, the node's
 // original contents the first time it is touched (copy-on-write), plus
 // the original root and length. Rollback restores the pre-edit program
-// exactly; commit-side consumers (prog.EvalState, plan.State) use the
-// journal's dirty and dead masks to know which value columns survived
-// the edit unchanged and where they move when the edit ends.
+// exactly; commit-side consumers (plan.State) use the journal's dirty
+// and dead masks to know which value columns survived the edit
+// unchanged and where they move when the edit ends.
 //
-// The journal replaces the search loop's previous double-buffered
+// The journal replaces the search loop's original double-buffered
 // proposal scheme (scratch.CopyFrom(cur) + mutate + swap): a move now
 // edits the current program directly and is reverted on rejection.
 // Because the journal only observes writes — it never reorders them,
 // and reverting reproduces the exact pre-edit node array — a
-// journaled apply/rollback sequence is bit-identical to the old
-// copy-and-discard sequence, which the oracle tables pin.
+// journaled apply/rollback sequence is bit-identical to the
+// copy-and-discard sequence: the oracle tables pin it, and
+// TestJournaledEditMatchesCopyEdit compares every move both ways.
 //
 // Compaction is deferred to the end of a kept edit. Under a journal GC
 // renumbers nothing: it records the set of body nodes the edit left
 // unreachable from the root (Dead). Node indices therefore stay stable
 // for the whole edit, so the proposal is evaluated on the uncompacted
 // program (dead nodes are never dirty and never on the root's path,
-// and the engines skip them) and a rejected proposal is undone by
+// and the plan engine skips them) and a rejected proposal is undone by
 // Rollback alone. EndEdit compacts: dead nodes are removed and the
 // survivors move down in order.
 //

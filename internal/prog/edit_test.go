@@ -80,6 +80,69 @@ func TestJournalRollbackUnderMoves(t *testing.T) {
 	}
 }
 
+// TestJournaledEditMatchesCopyEdit pins an in-place journaled edit to
+// the same move applied to a plain copy, the way the search first
+// proposed: clone, mutate the clone with no journal (GC compacts at
+// once), swap it in. Each proposal replays one random stream both ways
+// from a saved PCG state. The two must agree on the move, on validity
+// and on the draws consumed, and a kept edit must, after EndEdit,
+// equal the copy node for node. That holds only if deferring
+// compaction to EndEdit renumbers exactly as compacting inside the
+// move does, and no move draws after its GC. Half of the valid
+// proposals are kept, so the walk explores program space; the rest
+// are rolled back.
+func TestJournaledEditMatchesCopyEdit(t *testing.T) {
+	const proposals = 20_000
+	for _, d := range []struct {
+		name       string
+		set        *prog.OpSet
+		redundancy bool
+	}{
+		{"full", prog.FullSet, false},
+		{"model", prog.ModelSet, true},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			src := rand.NewPCG(9, 0xc0b1)
+			rng := rand.New(src)
+			suite := testcase.Generate(func(in []uint64) uint64 { return in[0] ^ in[1]>>3 }, 2, 24, rng)
+			mut := mutate.New(d.set, suite, d.redundancy)
+			p := prog.NewZero(2)
+			var j prog.Journal
+			kept, compacted := 0, 0
+			for iter := 0; iter < proposals; iter++ {
+				saved := *src
+				cp := p.Clone()
+				mvCopy, okCopy := mut.Apply(cp, rng)
+				drawn := *src
+				*src = saved
+				p.BeginEdit(&j)
+				mv, ok := mut.Apply(p, rng)
+				if mv != mvCopy || ok != okCopy || *src != drawn {
+					t.Fatalf("iter %d: journaled %v (valid %v), copy %v (valid %v), same draws %v",
+						iter, mv, ok, mvCopy, okCopy, *src == drawn)
+				}
+				if !ok || rng.IntN(2) == 0 {
+					p.Rollback()
+					continue
+				}
+				if j.Dead() != 0 {
+					compacted++
+				}
+				p.EndEdit()
+				kept++
+				if !p.Equal(cp) {
+					t.Fatalf("iter %d (%v): journaled edit diverged from the copy:\n journaled %s\n copy      %s",
+						iter, mv, p, cp)
+				}
+			}
+			if compacted == 0 {
+				t.Fatalf("none of %d kept edits compacted; deferred compaction went unchecked", kept)
+			}
+			t.Logf("%d proposals, %d kept, %d of them compacted", proposals, kept, compacted)
+		})
+	}
+}
+
 // TestJournalDirtyMaskSoundness pins the contract the evaluation
 // engines build on: after a move, the journal's dirty mask closed over
 // transitive users, skipping the nodes GC found dead (exactly what

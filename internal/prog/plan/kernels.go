@@ -17,9 +17,9 @@ import (
 // locals before its case loop (a store to dst could otherwise alias
 // them and force a reload per case). Every kernel body is the
 // corresponding evalOp arm applied per case in case order, so a
-// compiled tape is bit-identical to the interpreted engine by
-// construction (TestKernelsMatchEvalOp pins this for every opcode and
-// operand shape). The compare kernels use evalOp's select form
+// compiled tape is bit-identical to Program.Eval by construction
+// (TestKernelsMatchEvalOp pins this for every opcode and operand
+// shape). The compare kernels use evalOp's select form
 // (v := 0; if cond { v = 1 }), which compiles to a flag set instead of
 // a data-dependent branch.
 //
@@ -71,7 +71,7 @@ func kFill(t *tapeEntry, c0, c1 int) {
 // kCopy copies from a source column. Defensive only: body nodes are
 // never inputs (Validate forbids it), but a program that carries one
 // anyway compiles to a copy of the precomputed input column, matching
-// the interpreted engine's fallback.
+// what Program.Eval computes for it.
 func kCopy(t *tapeEntry, c0, c1 int) {
 	copy(t.dst[c0:c1], t.a[c0:c1])
 }

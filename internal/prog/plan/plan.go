@@ -3,28 +3,25 @@
 // search inner loop executes with no per-case opcode dispatch and no
 // allocation.
 //
-// The interpreted incremental engine (prog.EvalState, DESIGN.md §10)
-// already reuses committed value columns across proposals, but still
-// pays one opcode switch per dirty column per chunk and one evalOp
-// call per case for the opcodes without a dedicated loop. The plan
-// layer goes one step further down ROADMAP item 1's ladder: a full
-// compile at Reset turns the program into a tape of op-specialized
-// kernels over pre-resolved operand columns, with constant operands
-// folded to immediates via the absint facts of
-// internal/prog/analysis/absint (sound over the suite's input set),
-// and an incremental recompile path that re-lowers only the
+// The engine keeps one committed value column per node across all
+// suite cases and recomputes, per proposal, only the columns the edit
+// journal says can have changed. A full compile at Reset turns the
+// program into a tape of op-specialized kernels over pre-resolved
+// operand columns, with constant operands folded to immediates via the
+// absint facts of internal/prog/analysis/absint (sound over the suite's
+// input set), and an incremental recompile path re-lowers only the
 // journal-dirty nodes on each move. Dirty nodes a proposal leaves
 // unreachable from the root are elided from the cost path entirely
 // (ReachableFrom mask) and materialized only if the move commits.
 //
-// State is a drop-in sibling of prog.EvalState: same lifecycle
-// (Reset / Begin / EvalRange / Commit / Abort), same double-buffered
-// column discipline (header-swap Commit, free Abort), and
-// bit-identical value columns by construction — every kernel body is
-// the corresponding evalOp arm, folding is exact, and case order is
-// preserved. The three-way differential harness in internal/search
-// (FuzzIncrementalEval) pins legacy, interpreted, and compiled arms
-// to identical trajectories.
+// State has the same lifecycle as the from-scratch reference engine
+// prog.RefEval (Reset / Begin / EvalRange / Commit / Abort), a
+// double-buffered column discipline (header-swap Commit, free Abort),
+// and value columns bit-identical to Program.Eval by construction —
+// every kernel body is the corresponding evalOp arm, folding is exact,
+// and case order is preserved. The differential harness in
+// internal/search (FuzzIncrementalEval) pins the plan and reference
+// arms to identical trajectories.
 //
 // Full compiles are amortized by a shape-keyed recipe cache shared by
 // all States on the same suite (restart-heavy searches re-seed from
@@ -75,11 +72,9 @@ type tapeEntry struct {
 	imm  uint64
 }
 
-// State is the compiled evaluation engine. It mirrors prog.EvalState
-// field for field where the interpreted engine's layout is already
-// right (committed columns + proposal shadow columns over one backing
-// array) and replaces interpretation with tape execution. A State is
-// single-threaded, owned by one search run.
+// State is the compiled evaluation engine: committed columns and
+// proposal shadow columns over one backing array, computed by tape
+// execution. A State is single-threaded, owned by one search run.
 type State struct {
 	p      *prog.Program
 	suite  *testcase.Suite
@@ -185,7 +180,7 @@ func (e *State) Targets() []uint64 { return e.targets }
 func (e *State) Program() *prog.Program { return e.p }
 
 // Stats returns the cumulative evaluation-work counters, with the
-// same semantics as prog.EvalState.Stats (proposal path only).
+// same semantics as prog.RefEval.Stats (proposal path only).
 func (e *State) Stats() prog.EvalStats { return e.estats }
 
 // PlanStats returns the cumulative compilation counters.
@@ -308,9 +303,8 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	case prog.OpConst:
 		return compiledOp{kern: fill, argA: -1, argB: -1, imm: nd.Val}, false
 	case prog.OpInput:
-		// Defensive, mirroring the interpreted engine: body nodes are
-		// never inputs, but compile to a copy of the input column if
-		// one lands here.
+		// Defensive: body nodes are never inputs, but compile to a copy
+		// of the input column if one lands here.
 		return compiledOp{kern: kCopy, argA: int32(nd.Val), argB: -1}, false
 	}
 	if v, ok := exactVal(p, facts, i); ok {

@@ -327,13 +327,14 @@ func checkPatchCache(t *testing.T, e *State) {
 }
 
 // TestPlanIncrementalRandomEdits is the plan engine's core property
-// test, run in lockstep with the interpreted engine: a long random
-// walk of journaled in-place edits — opcode and argument rewrites,
-// appends, root moves, and GCs — with both engines
-// consuming the same journal. Every proposal's EvalRange output is
-// checked against the interpreted engine and a from-scratch
-// evaluation, and the committed matrices are compared node for node
-// after every Commit and every Abort+Rollback.
+// test, run in lockstep with the reference engine (prog.RefEval): a
+// long random walk of journaled in-place edits — opcode and argument
+// rewrites, appends, root moves, and GCs — with both engines consuming
+// the same journal. Every proposal's EvalRange output is checked
+// against the reference engine and a from-scratch evaluation, the
+// committed matrix is compared node for node with the current program
+// after every Commit and every Abort+Rollback, and the two engines must
+// report identical EvalStats.
 func TestPlanIncrementalRandomEdits(t *testing.T) {
 	const numInputs = 2
 	const ncases = 19 // not a multiple of EvalChunk: exercises the tail block
@@ -342,7 +343,7 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 		suite := testcase.Generate(func(in []uint64) uint64 { return in[0] ^ in[1] },
 			numInputs, ncases, rng)
 		p := randProgram(rng, numInputs, 6)
-		ref := prog.NewEvalState(suite)
+		ref := prog.NewRefEval(suite)
 		ref.Reset(p)
 		e := New(suite)
 		e.Reset(p)
@@ -392,7 +393,7 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 			for c, tc := range suite.Cases {
 				fresh := q.Eval(tc.Inputs, vals[:])
 				if got[c] != fresh || got[c] != want[c] {
-					t.Fatalf("seed %d iter %d case %d: plan %#x, engine %#x, fresh %#x",
+					t.Fatalf("seed %d iter %d case %d: plan %#x, reference %#x, fresh %#x",
 						seed, iter, c, got[c], want[c], fresh)
 				}
 			}
@@ -414,7 +415,7 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 				ref.CaseValues(c, cvRef[:])
 				for i := range p.Nodes {
 					if cvPlan[i] != vals[i] || cvPlan[i] != cvRef[i] {
-						t.Fatalf("seed %d iter %d node %d case %d: plan %#x, engine %#x, eval %#x",
+						t.Fatalf("seed %d iter %d node %d case %d: plan %#x, reference %#x, eval %#x",
 							seed, iter, i, c, cvPlan[i], cvRef[i], vals[i])
 					}
 				}
@@ -422,7 +423,7 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 		}
 		est, rst := e.Stats(), ref.Stats()
 		if est != rst {
-			t.Fatalf("seed %d: eval stats diverged: plan %+v, engine %+v", seed, est, rst)
+			t.Fatalf("seed %d: eval stats diverged: plan %+v, reference %+v", seed, est, rst)
 		}
 		if pst := e.PlanStats(); pst.Patches == 0 || pst.Patches != est.NodesReevaluated {
 			t.Fatalf("seed %d: implausible plan stats %+v (eval %+v)", seed, pst, est)

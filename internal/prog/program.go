@@ -49,8 +49,8 @@ type Node struct {
 //     input nodes are exempt so that moves can always wire to them),
 //   - argument indices are in range and argument counts match arity.
 //
-// Programs are mutable; the search mutates a scratch copy and swaps it
-// in on acceptance.
+// Programs are mutable; the search edits its current program in place
+// under an edit journal and rolls rejected proposals back (edit.go).
 type Program struct {
 	Nodes     []Node
 	Root      int32

@@ -61,86 +61,15 @@ func checkTopoOrder(t *testing.T, p *Program) {
 	}
 }
 
-// TestFillColumnMatchesEvalOp pins the engine's op-specialized column
-// loops to the per-case evalOp reference for every instruction opcode,
-// including a split-range fill (the chunked path must be seamless) and
-// boundary shift amounts.
-func TestFillColumnMatchesEvalOp(t *testing.T) {
-	const n = 37
-	rng := rand.New(rand.NewPCG(1, 2))
-	a := make([]uint64, n)
-	b := make([]uint64, n)
-	for c := 0; c < n; c++ {
-		a[c], b[c] = rng.Uint64(), rng.Uint64()
-	}
-	// Boundary shift/rotate amounts at the front of the b column.
-	copy(b, []uint64{0, 1, 31, 32, 63, 64, 65, ^uint64(0)})
-	e := &EvalState{}
-	dst := make([]uint64, n)
-	ab := [2][]uint64{a, b}
-	for op := OpConst + 1; op < numOps; op++ {
-		nd := &Node{Op: op}
-		for c := range dst {
-			dst[c] = 0xdeadbeefdeadbeef // poison
-		}
-		// Two ranges: chunked fills must compose to the full column.
-		e.fillColumn(nd, dst, ab, 0, 17)
-		e.fillColumn(nd, dst, ab, 17, n)
-		for c := 0; c < n; c++ {
-			bv := uint64(0)
-			if op.Arity() == 2 {
-				bv = b[c]
-			}
-			if want := evalOp(op, a[c], bv); dst[c] != want {
-				t.Fatalf("%v case %d: fillColumn %#x, evalOp %#x", op, c, dst[c], want)
-			}
-		}
-	}
-	// OpConst broadcasts the node's literal.
-	nd := &Node{Op: OpConst, Val: 0x123456789abcdef}
-	e.fillColumn(nd, dst, ab, 0, n)
-	for c := 0; c < n; c++ {
-		if dst[c] != nd.Val {
-			t.Fatalf("const case %d: %#x", c, dst[c])
-		}
-	}
-}
-
-// TestEvalStateResetMatchesEval checks that a full Reset reproduces,
-// column for column, the values the per-case evaluator computes.
-func TestEvalStateResetMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 0x5eed))
-	suite := testcase.Generate(func(in []uint64) uint64 { return in[0] + in[2] }, 3, 29, rng)
-	e := NewEvalState(suite)
-	var vals, cv [MaxNodes]uint64
-	for trial := 0; trial < 50; trial++ {
-		p := randProgram(rng, 3, 1+rng.IntN(MaxBody))
-		e.Reset(p)
-		for c, tc := range suite.Cases {
-			root := p.Eval(tc.Inputs, vals[:])
-			if e.RootColumn()[c] != root {
-				t.Fatalf("trial %d case %d: root column %#x, eval %#x",
-					trial, c, e.RootColumn()[c], root)
-			}
-			e.CaseValues(c, cv[:])
-			for i := range p.Nodes {
-				if e.cols[i][c] != vals[i] || cv[i] != vals[i] {
-					t.Fatalf("trial %d node %d case %d: col %#x, CaseValues %#x, eval %#x",
-						trial, i, c, e.cols[i][c], cv[i], vals[i])
-				}
-			}
-		}
-	}
-}
-
-// TestEvalStateIncrementalRandomEdits is the engine's core property
-// test: a long random walk of journaled in-place edits — opcode and
-// argument rewrites, appends, root moves, and GCs — with
-// every proposal's EvalRange output checked against a from-scratch
-// evaluation of the edited program, and the committed matrix checked
-// against the current program after every Commit and every
-// Abort+Rollback.
-func TestEvalStateIncrementalRandomEdits(t *testing.T) {
+// TestRefEvalRandomEdits drives the reference engine through a long
+// random walk of journaled in-place edits — opcode and argument
+// rewrites, appends, root moves, and GCs. Every proposal's EvalRange
+// output is checked against the program EndEdit would leave (compacted,
+// so dead nodes cannot leak into the root), every Abort+Rollback must
+// restore the pre-edit program and a valid cached topological order,
+// and the committed root column must describe the current program
+// after either branch.
+func TestRefEvalRandomEdits(t *testing.T) {
 	const numInputs = 2
 	const ncases = 19 // not a multiple of EvalChunk: exercises the tail block
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -148,7 +77,7 @@ func TestEvalStateIncrementalRandomEdits(t *testing.T) {
 		suite := testcase.Generate(func(in []uint64) uint64 { return in[0] ^ in[1] },
 			numInputs, ncases, rng)
 		p := randProgram(rng, numInputs, 6)
-		e := NewEvalState(suite)
+		e := NewRefEval(suite)
 		e.Reset(p)
 		var j Journal
 		got := make([]uint64, ncases)
@@ -175,8 +104,7 @@ func TestEvalStateIncrementalRandomEdits(t *testing.T) {
 			}
 			// Occasionally move the root and collect (writes first,
 			// collect last — the journaling discipline). GC only marks
-			// the dead nodes: Commit re-homes the columns by that mask
-			// and EndEdit compacts.
+			// the dead nodes; EndEdit compacts.
 			if rng.IntN(4) == 0 {
 				p.SetRoot(int32(rng.IntN(len(p.Nodes))))
 				if n := len(p.Nodes); p.GC() > 0 && len(p.Nodes) != n {
@@ -191,9 +119,9 @@ func TestEvalStateIncrementalRandomEdits(t *testing.T) {
 				}
 				copy(got[c0:c1], e.EvalRange(c0, c1))
 			}
-			// Proposal root values vs from-scratch evaluation of the
-			// edited program (cloned: clones never inherit the edit).
-			q := p.Clone()
+			// Proposal root values vs the edited program as EndEdit
+			// would compact it.
+			q := p.Compacted()
 			for c, tc := range suite.Cases {
 				if want := q.Eval(tc.Inputs, vals[:]); got[c] != want {
 					t.Fatalf("seed %d iter %d case %d: EvalRange %#x, fresh eval %#x",
@@ -210,15 +138,12 @@ func TestEvalStateIncrementalRandomEdits(t *testing.T) {
 					t.Fatalf("seed %d iter %d: rollback diverged", seed, iter)
 				}
 			}
-			// The committed matrix must describe the current program
-			// exactly, whichever branch was taken.
+			// The committed root column must describe the current
+			// program exactly, whichever branch was taken.
 			for c, tc := range suite.Cases {
-				p.Eval(tc.Inputs, vals[:])
-				for i := range p.Nodes {
-					if e.cols[i][c] != vals[i] {
-						t.Fatalf("seed %d iter %d node %d case %d: col %#x, eval %#x",
-							seed, iter, i, c, e.cols[i][c], vals[i])
-					}
+				if want := p.Eval(tc.Inputs, vals[:]); e.RootColumn()[c] != want {
+					t.Fatalf("seed %d iter %d case %d: root column %#x, eval %#x",
+						seed, iter, c, e.RootColumn()[c], want)
 				}
 			}
 			checkTopoOrder(t, p)

@@ -77,12 +77,10 @@ func (r *Run) Restore(rd io.Reader) error {
 		return fmt.Errorf("search: restore rng: %w", err)
 	}
 	r.cur = cj.Program
-	if r.eng != nil {
-		// The engine's committed columns must describe the restored
-		// program; a full recompute rebinds them (and the mutator's
-		// probe source follows the engine automatically).
-		r.eng.Reset(r.cur)
-	}
+	// The engine's committed columns must describe the restored
+	// program; a full recompute rebinds them (and the mutator's probe
+	// source follows the engine automatically).
+	r.eng.Reset(r.cur)
 	r.cost = cj.Cost
 	r.iters = cj.Iterations
 	r.done = cj.Done

@@ -34,14 +34,14 @@ func fuzzSuite(sel uint8, suiteSeed uint64) *testcase.Suite {
 	}
 }
 
-// FuzzIncrementalEval is the differential test pinning all three
-// evaluation arms to one another in three-way lockstep: the compiled
-// plan engine (the default), the interpreted incremental engine
-// (InterpEval), and the legacy copy-based path (LegacyEval) run with
-// identical options and must agree bit-for-bit at every Step
+// FuzzIncrementalEval is the differential test pinning the two
+// evaluation arms to each other in lockstep: the compiled plan engine
+// (the default) and the from-scratch reference engine (LegacyEval) run
+// with identical options and must agree bit-for-bit at every Step
 // boundary: identical iteration counts, identical costs (float
 // bit-equality, including logdiff sums), identical accept/reject
-// tallies, identical current programs, and identical solutions.
+// tallies, identical current programs, and identical solutions. At the
+// end both must report identical EvalStats.
 //
 // make ci replays the seeded corpus below; `go test -fuzz
 // FuzzIncrementalEval ./internal/search` explores beyond it.
@@ -66,81 +66,64 @@ func FuzzIncrementalEval(f *testing.F) {
 			set, redundancy = prog.ModelSet, true
 		}
 		opts := Options{Set: set, Cost: kind, Beta: beta, Redundancy: redundancy, Seed: seed}
-		iopts := opts
-		iopts.InterpEval = true
-		lopts := opts
-		lopts.LegacyEval = true
-
-		arms := []struct {
-			name string
-			run  *Run
-		}{
-			{"plan", New(suite, opts)},
-			{"engine", New(suite, iopts)},
-			{"legacy", New(suite, lopts)},
-		}
-		plan, rest := arms[0], arms[1:]
-		for _, o := range rest {
-			if plan.run.Cost() != o.run.Cost() {
-				t.Fatalf("initial cost: %s %v, %s %v",
-					plan.name, plan.run.Cost(), o.name, o.run.Cost())
-			}
+		ropts := opts
+		ropts.LegacyEval = true
+		plan, ref := New(suite, opts), New(suite, ropts)
+		if plan.Cost() != ref.Cost() {
+			t.Fatalf("initial cost: plan %v, reference %v", plan.Cost(), ref.Cost())
 		}
 		// Uneven chunk sizes exercise Step boundaries at varying phases.
 		for _, chunk := range []int64{1, 137, 1000, 7, 2048, 911} {
-			usedP, doneP := plan.run.Step(chunk)
-			for _, o := range rest {
-				usedO, doneO := o.run.Step(chunk)
-				if usedP != usedO || doneP != doneO {
-					t.Fatalf("step(%d): %s (%d, %v), %s (%d, %v)",
-						chunk, plan.name, usedP, doneP, o.name, usedO, doneO)
-				}
-				if plan.run.Cost() != o.run.Cost() {
-					t.Fatalf("cost diverged after step(%d): %s %v, %s %v",
-						chunk, plan.name, plan.run.Cost(), o.name, o.run.Cost())
-				}
-				if !plan.run.Program().Equal(o.run.Program()) {
-					t.Fatalf("programs diverged after step(%d):\n%s: %s\n%s: %s",
-						chunk, plan.name, plan.run.Program(), o.name, o.run.Program())
-				}
-				if plan.run.MoveStats() != o.run.MoveStats() {
-					t.Fatalf("move stats diverged after step(%d): %s %+v, %s %+v",
-						chunk, plan.name, plan.run.MoveStats(), o.name, o.run.MoveStats())
-				}
+			usedP, doneP := plan.Step(chunk)
+			usedR, doneR := ref.Step(chunk)
+			if usedP != usedR || doneP != doneR {
+				t.Fatalf("step(%d): plan (%d, %v), reference (%d, %v)",
+					chunk, usedP, doneP, usedR, doneR)
+			}
+			if plan.Cost() != ref.Cost() {
+				t.Fatalf("cost diverged after step(%d): plan %v, reference %v",
+					chunk, plan.Cost(), ref.Cost())
+			}
+			if !plan.Program().Equal(ref.Program()) {
+				t.Fatalf("programs diverged after step(%d):\nplan: %s\nreference: %s",
+					chunk, plan.Program(), ref.Program())
+			}
+			if plan.MoveStats() != ref.MoveStats() {
+				t.Fatalf("move stats diverged after step(%d): plan %+v, reference %+v",
+					chunk, plan.MoveStats(), ref.MoveStats())
 			}
 			if doneP {
-				for _, o := range rest {
-					if plan.run.Solution() == nil || o.run.Solution() == nil ||
-						!plan.run.Solution().Equal(o.run.Solution()) {
-						t.Fatalf("solutions diverged: %s %v, %s %v",
-							plan.name, plan.run.Solution(), o.name, o.run.Solution())
-					}
+				if plan.Solution() == nil || ref.Solution() == nil ||
+					!plan.Solution().Equal(ref.Solution()) {
+					t.Fatalf("solutions diverged: plan %v, reference %v",
+						plan.Solution(), ref.Solution())
 				}
 				break
 			}
 		}
-		// Both engines must have done identical incremental work — the
-		// plan layer changes how columns are computed, never which ones.
-		if ps, es := plan.run.EvalStats(), arms[1].run.EvalStats(); ps != es {
-			t.Fatalf("eval stats diverged: plan %+v, engine %+v", ps, es)
+		// Both engines must report identical work: the counters follow
+		// their definitions, so the plan layer's reuse changes how
+		// columns are computed, never what the counters say.
+		if ps, rs := plan.EvalStats(), ref.EvalStats(); ps != rs {
+			t.Fatalf("eval stats diverged: plan %+v, reference %+v", ps, rs)
 		}
-		if st := plan.run.EvalStats(); st.NodesTotal > 0 && st.NodesReevaluated > st.NodesTotal {
+		if st := plan.EvalStats(); st.NodesTotal > 0 && st.NodesReevaluated > st.NodesTotal {
 			t.Fatalf("impossible reuse stats: %+v", st)
 		}
 		// The engines' committed columns must describe the final
-		// program exactly: compare against a fresh legacy evaluation of
-		// the same program.
+		// program exactly: compare against a fresh evaluation of the
+		// same program.
 		var vals [prog.MaxNodes]uint64
-		finalLegacy := kind.Of(plan.run.Program(), suite, vals[:])
-		if finalLegacy != plan.run.Cost() && !plan.run.minimize {
-			t.Fatalf("plan cost %v disagrees with fresh evaluation %v", plan.run.Cost(), finalLegacy)
+		fresh := kind.Of(plan.Program(), suite, vals[:])
+		if fresh != plan.Cost() && !plan.minimize {
+			t.Fatalf("plan cost %v disagrees with fresh evaluation %v", plan.Cost(), fresh)
 		}
 	})
 }
 
 // TestConcurrentRunsSharedSuite steps independent engine-backed runs
 // over one shared suite from many goroutines. Each Run owns its
-// EvalState, journal, and mutator; the suite and OpSet are the only
+// engine, journal, and mutator; the suite and OpSet are the only
 // shared (read-only) data. Run under -race in make ci, this pins the
 // engine's "one run, one engine" ownership story.
 func TestConcurrentRunsSharedSuite(t *testing.T) {

@@ -194,8 +194,8 @@ func BenchmarkSearchLoop(b *testing.B) {
 	rng := rand.New(rand.NewPCG(100, 200))
 	suite := testcase.Generate(func(in []uint64) uint64 { return ref.Output(in) },
 		2, 50, rng)
-	run := func(b *testing.B, o *obs.Obs, stream, interp bool) {
-		opts := Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: 1, InterpEval: interp}
+	run := func(b *testing.B, o *obs.Obs, stream bool) {
+		opts := Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: 1}
 		switch {
 		case stream:
 			// The full push path: tracer with cost sampling on and a
@@ -230,11 +230,7 @@ func BenchmarkSearchLoop(b *testing.B) {
 		}
 		b.StopTimer()
 	}
-	// baseline runs the default compiled plan engine; interp runs the
-	// interpreted incremental engine on the identical trajectory — their
-	// ratio is the plan layer's speedup (the acceptance bar is >= 1.5x).
-	b.Run("baseline", func(b *testing.B) { run(b, nil, false, false) })
-	b.Run("interp", func(b *testing.B) { run(b, nil, false, true) })
-	b.Run("instrumented", func(b *testing.B) { run(b, obs.New(), false, false) })
-	b.Run("streamed", func(b *testing.B) { run(b, obs.New(), true, false) })
+	b.Run("baseline", func(b *testing.B) { run(b, nil, false) })
+	b.Run("instrumented", func(b *testing.B) { run(b, obs.New(), false) })
+	b.Run("streamed", func(b *testing.B) { run(b, obs.New(), true) })
 }

@@ -35,30 +35,34 @@ func TestPruneSolvesAndIsSound(t *testing.T) {
 	}
 }
 
-// TestPruneEngineLegacyBitIdentical pins that the engine and legacy
-// paths place the prune gate at the same point: with pruning on, both
-// must walk the identical trajectory and land on identical stats.
+// TestPruneEngineLegacyBitIdentical pins that the plan engine and the
+// reference engine (LegacyEval) agree under the prune gate and its
+// PruneVerify re-check: with pruning on, both must walk the identical
+// trajectory and land on identical move and evaluation stats.
 func TestPruneEngineLegacyBitIdentical(t *testing.T) {
 	suite := suiteFor(t, "xorq(x, shrq(x, 1))", 1, 32)
 	mk := func(legacy bool) *Run {
 		return New(suite, Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: 11,
 			Prune: true, PruneVerify: true, LegacyEval: legacy})
 	}
-	eng, leg := mk(false), mk(true)
+	pl, ref := mk(false), mk(true)
 	const budget = 200_000
-	ue, de := eng.Step(budget)
-	ul, dl := leg.Step(budget)
-	if ue != ul || de != dl {
-		t.Fatalf("paths diverged: engine (%d, %v) vs legacy (%d, %v)", ue, de, ul, dl)
+	up, dp := pl.Step(budget)
+	ur, dr := ref.Step(budget)
+	if up != ur || dp != dr {
+		t.Fatalf("paths diverged: plan (%d, %v) vs reference (%d, %v)", up, dp, ur, dr)
 	}
-	if eng.Cost() != leg.Cost() {
-		t.Fatalf("costs diverged: %g vs %g", eng.Cost(), leg.Cost())
+	if pl.Cost() != ref.Cost() {
+		t.Fatalf("costs diverged: %g vs %g", pl.Cost(), ref.Cost())
 	}
-	if se, sl := eng.MoveStats(), leg.MoveStats(); se != sl {
-		t.Fatalf("stats diverged:\n  engine: %+v\n  legacy: %+v", se, sl)
+	if sp, sr := pl.MoveStats(), ref.MoveStats(); sp != sr {
+		t.Fatalf("stats diverged:\n  plan:      %+v\n  reference: %+v", sp, sr)
 	}
-	if !eng.Program().Equal(leg.Program()) {
-		t.Fatalf("programs diverged:\n  engine: %s\n  legacy: %s", eng.Program(), leg.Program())
+	if ep, er := pl.EvalStats(), ref.EvalStats(); ep != er {
+		t.Fatalf("eval stats diverged:\n  plan:      %+v\n  reference: %+v", ep, er)
+	}
+	if !pl.Program().Equal(ref.Program()) {
+		t.Fatalf("programs diverged:\n  plan:      %s\n  reference: %s", pl.Program(), ref.Program())
 	}
 }
 

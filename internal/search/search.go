@@ -26,16 +26,16 @@ import (
 	"stochsyn/internal/testcase"
 )
 
-// engine is the incremental evaluation engine the search loop drives:
-// committed value columns kept exact for the current program, a
-// journaled proposal path (Begin / EvalRange / Commit / Abort), and a
-// full rebind for restarts and checkpoint restores (Reset). Two
-// implementations exist — the compiled plan engine (plan.State, the
-// default) and the interpreted engine (prog.EvalState,
-// Options.InterpEval) — and the loop treats them identically: both
-// produce bit-identical columns, which FuzzIncrementalEval pins. The
-// method set is a superset of cost.Source and mutate.Eval, so an
-// engine value flows to those layers directly.
+// engine is the evaluation engine the search loop drives: a committed
+// root column kept exact for the current program, a journaled proposal
+// path (Begin / EvalRange / Commit / Abort), and a full rebind for
+// restarts and checkpoint restores (Reset). Two implementations exist —
+// the compiled plan engine (plan.State, the default) and the
+// from-scratch reference engine (prog.RefEval, Options.LegacyEval) —
+// and the loop treats them identically: both produce bit-identical root
+// values, which FuzzIncrementalEval pins. The method set is a superset
+// of cost.Source and mutate.Eval, so an engine value flows to those
+// layers directly.
 type engine interface {
 	Reset(p *prog.Program)
 	Begin(j *prog.Journal)
@@ -50,7 +50,7 @@ type engine interface {
 }
 
 var (
-	_ engine = (*prog.EvalState)(nil)
+	_ engine = (*prog.RefEval)(nil)
 	_ engine = (*plan.State)(nil)
 )
 
@@ -147,22 +147,16 @@ type Options struct {
 	// paper's uniform choice). Keys are mutate.Move values; moves with
 	// missing or non-positive weight are never proposed.
 	MoveWeights map[mutate.Move]float64
-	// LegacyEval disables the incremental evaluation engine and runs
-	// the original copy-based proposal path (scratch copy + full
-	// re-evaluation per proposal). The two paths are bit-identical by
-	// construction — same RNG draw sequence, same case-order float
-	// summation, same accept/reject decisions — which the differential
-	// fuzz test (FuzzIncrementalEval) checks continuously. This is a
-	// debugging and verification knob, not a performance option.
+	// LegacyEval selects the from-scratch reference engine
+	// (prog.RefEval) instead of the compiled plan engine (plan.State):
+	// each proposal is evaluated case by case with Program.Eval, reusing
+	// nothing, and its cost is summed by cost.Kind.OfState. The two arms
+	// run the same loop and are bit-identical by construction — same RNG
+	// draw sequence, same case-order float summation, same accept/reject
+	// decisions, same EvalStats — which the differential fuzz test
+	// (FuzzIncrementalEval) checks continuously. This is a verification
+	// and benchmarking knob, not a performance option.
 	LegacyEval bool
-	// InterpEval selects the interpreted incremental engine
-	// (prog.EvalState) instead of the default compiled plan engine
-	// (plan.State). Like LegacyEval it is a reference arm: the two
-	// engines produce bit-identical trajectories (the three-way
-	// differential fuzz pins legacy, interpreted, and plan against each
-	// other), so this is a verification and benchmarking knob, not a
-	// performance option. Ignored when LegacyEval is set.
-	InterpEval bool
 	// EqSat, when non-nil, is a shared rewrite-equivalence memo: a
 	// sampled fraction of cost-neutral accepted proposals is hashed by
 	// e-class (eqsat.EClassHash) and rejected when the walk has already
@@ -226,20 +220,19 @@ type Run struct {
 	dedup  *eqsat.Dedup   // nil unless Options.EqSat
 	pruner *absint.Pruner // nil unless Options.Prune
 
-	cur     *prog.Program
-	scratch *prog.Program // legacy path only: the proposal copy
-	cost    float64       // correctness cost, plus the size term in MinimizeSize mode
-	iters   int64
-	done    bool
-	sol     *prog.Program
+	cur   *prog.Program
+	cost  float64 // correctness cost, plus the size term in MinimizeSize mode
+	iters int64
+	done  bool
+	sol   *prog.Program
 
-	// eng is the incremental evaluation engine — the compiled plan
-	// engine by default, the interpreted one under Options.InterpEval,
-	// nil under Options.LegacyEval; jr is the per-iteration edit
-	// journal it consumes, reused across iterations. planEng is eng's
-	// concrete type when the plan engine is active (nil otherwise),
-	// resolved once so the hot loop takes cost.Kind.OfPlan — the fused
-	// tape-execution cost path — without a per-iteration assertion.
+	// eng is the evaluation engine — the compiled plan engine by
+	// default, the reference engine under Options.LegacyEval; jr is the
+	// per-iteration edit journal it consumes, reused across iterations.
+	// planEng is eng's concrete type when the plan engine is active (nil
+	// otherwise), resolved once so the hot loop takes cost.Kind.OfPlan —
+	// the fused tape-execution cost path — without a per-iteration
+	// assertion.
 	eng     engine
 	planEng *plan.State
 	jr      prog.Journal
@@ -266,7 +259,6 @@ type Run struct {
 	obsBest  float64        // best sampled cost so far (NaN until the first flush)
 	plateau  obs.PlateauDetector
 
-	vals  [prog.MaxNodes]uint64
 	trace []TracePoint
 	gap   int64 // minimum iteration gap between trace points
 }
@@ -318,24 +310,18 @@ func New(suite *testcase.Suite, opts Options) *Run {
 	if r.minimize && r.sizeWeight <= 0 {
 		r.sizeWeight = 1
 	}
-	var c float64
+	// The engine's committed root column is kept exact for r.cur for
+	// the whole run; the initial cost is that column summed in case
+	// order, bit-equal to Of.
 	if opts.LegacyEval {
-		r.scratch = r.cur.Clone()
-		c = r.kind.Of(r.cur, r.suite, r.vals[:])
+		r.eng = prog.NewRefEval(suite)
 	} else {
-		// The engine's committed columns are kept exact for r.cur for
-		// the whole run; the initial cost is the root column summed in
-		// case order, bit-equal to Of.
-		if opts.InterpEval {
-			r.eng = prog.NewEvalState(suite)
-		} else {
-			r.planEng = plan.New(suite)
-			r.eng = r.planEng
-		}
-		r.eng.Reset(r.cur)
-		r.mut.BindEval(r.eng)
-		c = r.kind.OfColumn(r.eng.RootColumn(), suite)
+		r.planEng = plan.New(suite)
+		r.eng = r.planEng
 	}
+	r.eng.Reset(r.cur)
+	r.mut.BindEval(r.eng)
+	c := r.kind.OfColumn(r.eng.RootColumn(), suite)
 	if r.minimize {
 		if c == 0 {
 			r.noteBest(r.cur)
@@ -389,84 +375,29 @@ func (r *Run) Step(budget int64) (int64, bool) {
 		}
 		used++
 		r.iters++
-		var solved bool
-		if r.eng != nil {
-			solved = r.iterateEngine()
-		} else {
-			solved = r.iterateLegacy()
-		}
-		if solved {
+		if r.iterate() {
 			return used, true
 		}
 	}
 	return used, false
 }
 
-// iterateLegacy runs one iteration of the copy-based reference path
-// (Options.LegacyEval): copy the current program into scratch, mutate
-// the copy, re-evaluate it from scratch with OfBounded, and swap the
-// buffers on accept. It is retained verbatim as the differential
-// baseline for the engine path. It returns true when the iteration
-// solved the problem.
-func (r *Run) iterateLegacy() bool {
-	r.scratch.CopyFrom(r.cur)
-	mv, ok := r.mut.Apply(r.scratch, r.rng)
-	r.stats.Proposed[mv]++
-	if ok {
-		// Draw the acceptance threshold before evaluating so the
-		// cost computation can abort early (exactly) once the
-		// partial sum exceeds it. In minimize mode the size term
-		// is known up front, so it tightens the correctness bound.
-		bound := r.threshold()
-		if r.minimize {
-			bound -= r.sizeWeight * float64(r.scratch.BodyLen())
-		}
-		if r.pruned(r.scratch) {
-			// Provably cannot match the example set: skip evaluation.
-			// The threshold above was still drawn, so the RNG sequence
-			// matches an unpruned run; only the trajectory differs.
-			if r.opts.PruneVerify && r.kind.Of(r.scratch, r.suite, r.vals[:]) == 0 {
-				r.stats.PruneUnsound++
-			}
-			if r.opts.StateHook != nil {
-				r.opts.StateHook(r.cur)
-			}
-			return false
-		}
-		r.stats.Evaluated++
-		c := r.kind.OfBounded(r.scratch, r.suite, r.vals[:], bound)
-		if c <= bound {
-			if r.rejectRevisit(c, r.scratch) {
-				// Rewrite-equivalent plateau revisit: fall through
-				// without swapping, as if the proposal were rejected.
-			} else {
-				r.stats.Accepted[mv]++
-				r.cur, r.scratch = r.scratch, r.cur
-				if r.accept(c) {
-					return true
-				}
-			}
-		}
-	}
-	if r.opts.StateHook != nil {
-		r.opts.StateHook(r.cur)
-	}
-	return false
-}
-
-// iterateEngine runs one iteration through the incremental evaluation
-// engine: the move edits the current program in place under the edit
-// journal, the engine recomputes only the dirty value columns (pulled
-// chunk by chunk so bad proposals still abort early), and a rejected
-// proposal is undone exactly via the journal. The RNG draw sequence,
-// the per-case float summation order, and the accept/reject rule are
-// identical to iterateLegacy, so the two trajectories are bit-equal.
-// It returns true when the iteration solved the problem.
-func (r *Run) iterateEngine() bool {
+// iterate runs one iteration of Figure 3's loop: the move edits the
+// current program in place under the edit journal, the acceptance
+// threshold is drawn before evaluating, the engine evaluates the
+// proposal chunk by chunk so a bad proposal aborts early, and a
+// rejected proposal is undone exactly via the journal. Both engines
+// compute the same root values and both cost paths sum them in case
+// order with the same abort decisions, so the two arms' trajectories
+// are bit-equal. It returns true when the iteration solved the problem.
+func (r *Run) iterate() bool {
 	r.cur.BeginEdit(&r.jr)
 	mv, ok := r.mut.Apply(r.cur, r.rng)
 	r.stats.Proposed[mv]++
 	if ok {
+		// The threshold is drawn before evaluating so the cost can abort
+		// early (exactly) once its partial sum exceeds it. In minimize
+		// mode the size term is known up front and tightens the bound.
 		bound := r.threshold()
 		if r.minimize {
 			bound -= r.sizeWeight * float64(r.cur.BodyLen())
@@ -475,7 +406,7 @@ func (r *Run) iterateEngine() bool {
 			// Provably cannot match the example set: skip evaluation and
 			// undo the edit, exactly as if the threshold had failed. The
 			// threshold draw above keeps the RNG sequence identical to an
-			// unpruned run.
+			// unpruned run; only the trajectory differs.
 			if r.opts.PruneVerify {
 				r.eng.Begin(&r.jr)
 				if r.kind.OfState(r.eng, math.Inf(1)) == 0 {
@@ -556,9 +487,7 @@ func (r *Run) rejectRevisit(c float64, p *prog.Program) bool {
 // example set (Options.Prune), bumping the prune counters. With
 // pruning off this is a nil check and the counters stay zero, so the
 // off path is bit-identical to the pre-knob search; the pruner itself
-// never draws from the random stream. The increments are shared by
-// both iteration paths, keeping the differential fuzz test's stats
-// comparison exact.
+// never draws from the random stream.
 func (r *Run) pruned(p *prog.Program) bool {
 	if r.pruner == nil {
 		return false
@@ -571,10 +500,9 @@ func (r *Run) pruned(p *prog.Program) bool {
 	return true
 }
 
-// accept performs the post-acceptance bookkeeping shared by both
-// iteration paths, with c the proposal's correctness cost; the current
-// program is already the accepted proposal. It returns true when the
-// search finished.
+// accept performs the post-acceptance bookkeeping, with c the
+// proposal's correctness cost; the current program is already the
+// accepted proposal. It returns true when the search finished.
 func (r *Run) accept(c float64) bool {
 	eff := c
 	if r.minimize {
@@ -664,17 +592,15 @@ func (r *Run) publish() {
 		h.PruneUnsound.Add(float64(d))
 	}
 	r.obsStats = r.stats
-	if r.eng != nil {
-		es := r.eng.Stats()
-		if d := es.Sub(r.obsEval); d != (prog.EvalStats{}) {
-			h.EvalNodesReevaluated.Add(float64(d.NodesReevaluated))
-			h.EvalNodesTotal.Add(float64(d.NodesTotal))
-			h.EvalCasesEvaluated.Add(float64(d.CasesEvaluated))
-			h.EvalCasesTotal.Add(float64(d.CasesTotal))
-			r.obsEval = es
-		}
+	es := r.eng.Stats()
+	if d := es.Sub(r.obsEval); d != (prog.EvalStats{}) {
+		h.EvalNodesReevaluated.Add(float64(d.NodesReevaluated))
+		h.EvalNodesTotal.Add(float64(d.NodesTotal))
+		h.EvalCasesEvaluated.Add(float64(d.CasesEvaluated))
+		h.EvalCasesTotal.Add(float64(d.CasesTotal))
+		r.obsEval = es
 	}
-	if ps, ok := r.eng.(*plan.State); ok {
+	if ps := r.planEng; ps != nil {
 		st := ps.PlanStats()
 		if d := st.Sub(r.obsPlan); d != (plan.Stats{}) {
 			h.PlanCompiles.Add(float64(d.Compiles))
@@ -707,15 +633,11 @@ func (r *Run) publish() {
 			// live follower can draw the monotone envelope without
 			// replaying from the start; the eval counters are cumulative
 			// engine totals, from which consumers derive the reuse rate.
-			attrs := map[string]any{
+			h.Tracer.Emit("search_cost", map[string]any{
 				"search": h.ID, "iteration": r.iters, "cost": r.cost, "best": r.obsBest,
-			}
-			if r.eng != nil {
-				es := r.obsEval
-				attrs["eval_nodes_reevaluated"] = es.NodesReevaluated
-				attrs["eval_nodes_total"] = es.NodesTotal
-			}
-			h.Tracer.Emit("search_cost", attrs)
+				"eval_nodes_reevaluated": r.obsEval.NodesReevaluated,
+				"eval_nodes_total":       r.obsEval.NodesTotal,
+			})
 		}
 	} else if entered {
 		h.Plateaus.Inc()
@@ -767,26 +689,19 @@ func (r *Run) Iterations() int64 {
 	return 0
 }
 
-// EvalStats returns the incremental evaluation engine's cumulative
-// work counters (all zero under Options.LegacyEval). Unlike
-// Iterations, it reads the engine directly, so callers must hold a
-// happens-before edge after the last Step (the synth CLI and the
+// EvalStats returns the evaluation engine's cumulative work counters.
+// Unlike Iterations, it reads the engine directly, so callers must hold
+// a happens-before edge after the last Step (the synth CLI and the
 // benchmark harness read it strictly after the search returns).
-func (r *Run) EvalStats() prog.EvalStats {
-	if r.eng == nil {
-		return prog.EvalStats{}
-	}
-	return r.eng.Stats()
-}
+func (r *Run) EvalStats() prog.EvalStats { return r.eng.Stats() }
 
 // PlanStats returns the plan compiler's cumulative counters (all zero
-// unless the run uses the compiled engine). Same happens-before
-// caveat as EvalStats.
+// under Options.LegacyEval). Same happens-before caveat as EvalStats.
 func (r *Run) PlanStats() plan.Stats {
-	if ps, ok := r.eng.(*plan.State); ok {
-		return ps.PlanStats()
+	if r.planEng == nil {
+		return plan.Stats{}
 	}
-	return plan.Stats{}
+	return r.planEng.PlanStats()
 }
 
 // Program returns the current program. The caller must not mutate it.

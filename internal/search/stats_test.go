@@ -16,7 +16,10 @@ import (
 // of them, so NodesTotal counts only the nodes a proposal keeps. The
 // two 1000-case rows were recorded while the cost path still ran the
 // tape one EvalChunk at a time; running it in bound-sized blocks must
-// not move them either.
+// not move them either. The reference row runs the from-scratch
+// reference engine (LegacyEval) and pins the same numbers as the
+// full-hamming row, recorded on the interpreted engine it replaced:
+// the counters follow their definitions, not the engine.
 func TestRunCountersPinned(t *testing.T) {
 	start := prog.MustParse("addq(addq(x, x), mulq(x, 1))", 1)
 	cases := []struct {
@@ -86,8 +89,8 @@ func TestRunCountersPinned(t *testing.T) {
 			plan:  plan.Stats{Compiles: 1, Patches: 18562, FusedNodes: 7231},
 		},
 		{
-			name: "interp", expr: "andq(x, subq(x, 1))", inputs: 1, ncases: 10,
-			opts:  Options{Cost: cost.Hamming, Beta: 1, Seed: 1, InterpEval: true},
+			name: "reference", expr: "andq(x, subq(x, 1))", inputs: 1, ncases: 10,
+			opts:  Options{Cost: cost.Hamming, Beta: 1, Seed: 1, LegacyEval: true},
 			iters: 1813,
 			moves: Stats{Proposed: [4]int64{605, 613, 595, 0}, Accepted: [4]int64{187, 264, 265, 0}, Evaluated: 1735},
 			eval:  prog.EvalStats{NodesReevaluated: 6826, NodesTotal: 18650, CasesEvaluated: 17350, CasesTotal: 17350},

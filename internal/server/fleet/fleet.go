@@ -401,11 +401,9 @@ func (co *Coordinator) Handler() http.Handler {
 }
 
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	spec, err := server.DecodeSpec(w, r)
+	if err != nil {
+		writeError(w, server.ErrorStatus(err), err.Error())
 		return
 	}
 	// Validate here and compute the shard key; a spec the workers

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -417,5 +419,51 @@ func TestFleetEqSatCacheHit(t *testing.T) {
 	hits := w0.srv.Snapshot().Cache.EqSatHits + w1.srv.Snapshot().Cache.EqSatHits
 	if hits != 1 {
 		t.Errorf("worker eqsat cache hits = %d, want 1", hits)
+	}
+}
+
+// TestSubmitBodyLimits sends the same bad submissions to a synthd and
+// to a coordinator in front of it: a body over server.MaxSpecBytes
+// must get 413 with an error naming the limit, and a malformed body —
+// bad JSON, an unknown field, or anything after the spec — 400. None
+// may reach a job.
+func TestSubmitBodyLimits(t *testing.T) {
+	w := newWorker(t, server.Config{Workers: 1})
+	defer w.stop()
+	co, ts, _ := newFleet(t, w)
+	defer ts.Close()
+	defer co.Close()
+
+	huge := `{"problem": {"expr": "` + strings.Repeat("x", server.MaxSpecBytes) + `", "inputs": 1}}`
+	for _, target := range []struct{ name, url string }{{"synthd", w.ts.URL}, {"coordinator", ts.URL}} {
+		for _, tc := range []struct {
+			name, body string
+			code       int
+			msg        string
+		}{
+			{"oversized", huge, http.StatusRequestEntityTooLarge, strconv.Itoa(server.MaxSpecBytes)},
+			{"malformed", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}`, http.StatusBadRequest, "bad job spec"},
+			{"unknown-field", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "budget": 5}`, http.StatusBadRequest, "bad job spec"},
+			{"trailing-data", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} {}`, http.StatusBadRequest, "data after the job spec"},
+			{"trailing-garbage", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} nonsense`, http.StatusBadRequest, "bad job spec"},
+		} {
+			t.Run(target.name+"/"+tc.name, func(t *testing.T) {
+				resp, err := http.Post(target.url+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var apiErr server.APIError
+				if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+					t.Fatalf("status %d, undecodable error body: %v", resp.StatusCode, err)
+				}
+				if resp.StatusCode != tc.code || !strings.Contains(apiErr.Error, tc.msg) {
+					t.Errorf("got %d %q, want %d mentioning %q", resp.StatusCode, apiErr.Error, tc.code, tc.msg)
+				}
+			})
+		}
+	}
+	if n := w.srv.Snapshot().Jobs.Total; n != 0 {
+		t.Errorf("synthd accepted %d jobs from bad submissions", n)
 	}
 }

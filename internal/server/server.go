@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -747,12 +748,42 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// MaxSpecBytes caps the body of a job submission (POST /v1/jobs) on
+// synthd and on the fleet coordinator. The largest spec a client in
+// this repository sends, a 1000-case 3-input example set from
+// cmd/perfbench's traced pbe-wide run, is about 91 KiB (93,112 bytes),
+// so 4 MiB leaves room for specs some 45 times larger.
+const MaxSpecBytes = 4 << 20
+
+// DecodeSpec decodes the JobSpec of a submission: one JSON object with
+// no unknown fields and nothing but white space after it, read from at
+// most MaxSpecBytes of the body. The returned error carries its HTTP
+// status for ErrorStatus: 413, naming the limit, for a body over the
+// cap, and 400 for a malformed one.
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	err := dec.Decode(&spec)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return spec, nil
+		} else if err == nil {
+			err = errors.New("data after the job spec")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return spec, &httpError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("job spec body exceeds the %d-byte limit", tooBig.Limit)}
+	}
+	return spec, &httpError{http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err)}
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := DecodeSpec(w, r)
+	if err != nil {
+		writeError(w, ErrorStatus(err), err.Error())
 		return
 	}
 	// A traceparent-style header links the job's spans under the

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"stochsyn/internal/obs"
 	"stochsyn/internal/prog/plan"
 	"stochsyn/internal/server"
 	"stochsyn/internal/server/client"
@@ -85,23 +86,23 @@ func TestEndToEnd(t *testing.T) {
 		ids[i] = v.ID
 	}
 
-	// Cancel the hard job once it is running.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := c.Job(ctx, hard.ID)
-		if err != nil {
-			t.Fatalf("poll hard: %v", err)
+	// Cancel the hard job once it has run some iterations. Status
+	// "running" alone is not enough: a job cancelled before its first
+	// search step rightly reports zero iterations, which the partial
+	// counter check below rejects. The restart tree reports each
+	// doubling pass with the iterations run so far.
+	pctx, pcancel := context.WithTimeout(ctx, 10*time.Second)
+	progressed := false
+	err = c.Events(pctx, hard.ID, 0, func(e obs.Event) error {
+		if it, _ := e.Attrs["iterations"].(float64); e.Name == "tree_pass" && it > 0 {
+			progressed = true
+			return client.StopStreaming
 		}
-		if v.Status == server.StatusRunning {
-			break
-		}
-		if v.Status.Terminal() {
-			t.Fatalf("hard job terminal before cancel: %+v", v)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hard job did not start running within 10s")
-		}
-		time.Sleep(5 * time.Millisecond)
+		return nil
+	})
+	pcancel()
+	if err != nil || !progressed {
+		t.Fatalf("hard job made no progress before cancel (stream err %v)", err)
 	}
 	if _, err := c.Cancel(ctx, hard.ID); err != nil {
 		t.Fatalf("cancel hard: %v", err)
