@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test purego race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-prune bench-check perfbench-test server-smoke fleet-smoke
+.PHONY: ci build vet fmt lint test purego race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-check perfbench-test server-smoke fleet-smoke
 
 # gate runs one CI stage, echoing "ci: <name> ok" on success and
 # "ci: FAIL at gate <name>" (then exiting nonzero) on failure, so a
@@ -24,14 +24,13 @@ ci:
 	$(call gate,fuzz,$(GO) test -run FuzzIncrementalEval ./internal/search/ && $(GO) test -run FuzzOfPlanBlocks ./internal/cost/ && $(GO) test -run FuzzEqSat ./internal/eqsat/ && $(GO) test -run FuzzAbstractDomains ./internal/prog/analysis/absint/)
 	$(call gate,purego,$(MAKE) -s purego)
 	$(call gate,eqsat-smoke,$(GO) test -run TestEqSatSmoke -count=1 ./internal/eqsat/)
-	$(call gate,bench-prune,$(MAKE) -s bench-check EXP=prune)
-	$(call gate,bench-eval,$(MAKE) -s bench-check EXP=eval)
+	$(call gate,bench-eval,$(MAKE) -s bench-check)
 	$(call gate,perfbench-test,$(MAKE) -s perfbench-test)
 	$(call gate,race,$(GO) test -race ./...)
 	$(call gate,exec-stress,$(MAKE) -s exec-stress)
 	$(call gate,server-smoke,sh scripts/server_smoke.sh)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] purego[scalar kernels + arm64 vet] eqsat-smoke bench-prune bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] purego[scalar kernels + arm64 vet] eqsat-smoke bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -110,25 +109,13 @@ bench-eval:
 bench-eqsat:
 	$(GO) run ./cmd/bench -exp eqsat -budget 2000000 -problems 8
 
-# Compare the plain search against the same seeded search with
-# abstract-interpretation pruning (Options.Prune) on the expression
-# fixtures and write BENCH_prune.json. The on arm runs with PruneVerify;
-# the bench refuses to write the report on trajectory divergence, any
-# unsound prune decision, or reduction on fewer than half the rows —
-# which is why it doubles as a ci gate.
-BENCH_FLAGS_prune = -exp prune -budget 2000000
-
-bench-prune:
-	$(GO) run ./cmd/bench $(BENCH_FLAGS_prune)
-
-# bench-check runs experiment EXP (eval or prune) as bench-$(EXP) does,
-# but from a temporary working directory that it then deletes, report
-# and all. ci gates on the experiment's refusal checks this way, so a
-# ci run leaves the committed BENCH_$(EXP).json as it is.
+# bench-check runs the eval experiment as bench-eval does, but from a
+# temporary working directory that it then deletes, report and all. ci
+# gates on the experiment's refusal checks this way, so a ci run leaves
+# the committed BENCH_eval.json as it is.
 bench-check:
-	$(if $(BENCH_FLAGS_$(EXP)),,$(error bench-check: EXP must be eval or prune))
 	@tmp="$$(mktemp -d)" && $(GO) build -o "$$tmp/bench" ./cmd/bench && \
-		(cd "$$tmp" && ./bench $(BENCH_FLAGS_$(EXP))); st=$$?; rm -rf "$$tmp"; exit $$st
+		(cd "$$tmp" && ./bench $(BENCH_FLAGS_eval)); st=$$?; rm -rf "$$tmp"; exit $$st
 
 # Vet and run the benchmark harness's own tests. cmd/perfbench is a
 # module of its own (it replaces stochsyn with the repo root), so the

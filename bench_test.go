@@ -82,16 +82,18 @@ func BenchmarkCostHamming(b *testing.B) {
 	}
 }
 
-// BenchmarkMutateApply measures one proposal (copy + move).
+// BenchmarkMutateApply measures one proposal as the search loop makes
+// it: open an edit journal, apply a move in place, roll it back.
 func BenchmarkMutateApply(b *testing.B) {
 	m := mutate.New(prog.FullSet, nil, false)
 	rng := rand.New(rand.NewPCG(1, 2))
 	cur := prog.MustParse("orq(andq(x, y), andq(notq(x), z))", 3)
-	scratch := cur.Clone()
+	var jr prog.Journal
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch.CopyFrom(cur)
-		m.Apply(scratch, rng)
+		cur.BeginEdit(&jr)
+		m.Apply(cur, rng)
+		cur.Rollback()
 	}
 }
 

@@ -14,7 +14,6 @@
 //	bench -exp exec      -workers 8               concurrent tree executor counters
 //	bench -exp eval                               incremental-eval engine vs legacy path
 //	bench -exp eqsat                              stochastic vs eqsat-extraction vs hybrid
-//	bench -exp prune                              plain vs abstractly-pruned search
 //	bench -exp all                                everything at smoke scale
 //
 // The defaults are sized to finish in minutes on a laptop; raise
@@ -116,8 +115,6 @@ func main() {
 		runEval(cfg)
 	case "eqsat":
 		runEqSat(cfg)
-	case "prune":
-		runPrune(cfg)
 	case "all":
 		fmt.Println("== model chains (Figure 10) ==")
 		runModel(cfg)

@@ -5,16 +5,16 @@
 // internal/prog/analysis (plus associativity expansion rules of its
 // own), and a cost-minimal, deterministic extraction.
 //
-// The package serves three consumers (DESIGN.md §12):
+// The package serves two consumers (DESIGN.md §12):
 //
 //   - EClassHash keys *rewrite equivalence*: programs that the rule
 //     set can prove equal hash identically, strictly coarser than the
 //     canonicalizer's syntactic hash (which cannot cross, e.g., an
-//     associativity respelling);
-//   - Dedup lets the restart and search layers skip rewrite-equivalent
-//     restart seeds and plateau states (stochsyn.Options.EqSat);
-//   - the synthd cache uses EClassHash as a second-level key so
-//     rewrite-equivalent submissions hit fleet-wide.
+//     associativity respelling). The synthd cache uses it as a
+//     second-level key so rewrite-equivalent submissions hit
+//     fleet-wide;
+//   - Simplify (saturation plus extraction) is the size optimizer of
+//     the eqsat experiment's eqsat and hybrid arms.
 //
 // Everything is deterministic: classes are stored in a slice and
 // visited in id order, node lists are kept sorted, worklists are
@@ -416,14 +416,13 @@ func (g *EGraph) Stats() Stats {
 	return st
 }
 
-// Stats are the observable counters of one e-graph's lifetime. The
-// server aggregates them into the stochsyn_eqsat_* metric series.
+// Stats are the observable counters of one e-graph's lifetime.
 type Stats struct {
 	// Saturations counts Saturate calls (one per EClassHash).
 	Saturations int
 	// Iters counts saturation passes actually run.
 	Iters int
-	// Merges counts e-class unions (stochsyn_eqsat_eclass_merges_total).
+	// Merges counts e-class unions.
 	Merges int
 	// Extractions counts cost-minimal extractions performed.
 	Extractions int
@@ -451,25 +450,4 @@ type Stats struct {
 	// Saturated reports that saturation reached a fixpoint without
 	// the node budget refusing any addition.
 	Saturated bool
-}
-
-// Accumulate adds o's counters into st (Saturated is ANDed: a batch is
-// saturated only if every member was).
-func (st *Stats) Accumulate(o Stats) {
-	if st.Saturations == 0 {
-		st.Saturated = o.Saturated
-	} else {
-		st.Saturated = st.Saturated && o.Saturated
-	}
-	st.Saturations += o.Saturations
-	st.Iters += o.Iters
-	st.Merges += o.Merges
-	st.Extractions += o.Extractions
-	st.Fallbacks += o.Fallbacks
-	st.Nodes += o.Nodes
-	st.Classes += o.Classes
-	st.ConstConflicts += o.ConstConflicts
-	st.FactConsts += o.FactConsts
-	st.FactConflicts += o.FactConflicts
-	st.EmptyClasses += o.EmptyClasses
 }

@@ -201,37 +201,3 @@ func TestNoConstConflicts(t *testing.T) {
 		}
 	}
 }
-
-// Dedup: second equivalent seed is a dup, plateau revisit at equal
-// cost is a hit, nil receiver is inert.
-func TestDedup(t *testing.T) {
-	var nilD *Dedup
-	p := parse(t, "addq(x, 3)", 1)
-	if nilD.Visited(p, 1) || nilD.Seed(p) {
-		t.Fatal("nil Dedup must be inert")
-	}
-	d := NewDedup(Budget{})
-	if d.Seed(p) {
-		t.Fatal("first seed reported as dup")
-	}
-	q := parse(t, "addq(addq(x, 1), 2)", 1)
-	if !d.Seed(q) {
-		t.Fatal("rewrite-equivalent seed not reported as dup")
-	}
-	st := d.Stats()
-	if st.Seeds != 2 || st.SeedDups != 1 {
-		t.Fatalf("seed stats = %+v, want Seeds=2 SeedDups=1", st)
-	}
-
-	// Visited samples 1-in-16: drive it past the sampling boundary.
-	d2 := NewDedup(Budget{})
-	hit := false
-	for i := 0; i < 64 && !hit; i++ {
-		// Alternate equivalent respellings at the same cost: once both
-		// have been sampled, the later one must report a hit.
-		hit = d2.Visited(p, 5) || d2.Visited(q, 5)
-	}
-	if !hit {
-		t.Fatalf("plateau revisit never reported: %+v", d2.Stats())
-	}
-}

@@ -10,7 +10,7 @@ import (
 
 // randomProgram builds a program by walking the mutator from the zero
 // program — the same move set the search uses, so the fuzzed
-// distribution matches what Dedup hashes in production.
+// distribution matches the programs the search produces.
 func randomProgram(seed uint64, numInputs, steps int) *prog.Program {
 	return mutate.RandomProgram(seed, numInputs, steps)
 }

@@ -60,14 +60,6 @@ type SearchHooks struct {
 	PlanCacheHits  *Counter
 	PlanPatches    *Counter
 	PlanFusedNodes *Counter
-	// PruneChecked and PruneRejected count abstract-interpretation
-	// prune probes and the proposals they rejected before evaluation;
-	// PruneUnsound counts rejections the concrete re-check disproved
-	// (always zero unless the abstract domains are unsound). All three
-	// stay at zero without Options.Prune.
-	PruneChecked  *Counter
-	PruneRejected *Counter
-	PruneUnsound  *Counter
 	// Tracer receives plateau_enter/plateau_exit events and — when
 	// SampleCosts is set — a search_cost trajectory point per flush.
 	Tracer *Tracer

@@ -15,15 +15,15 @@ import (
 // to Top, which makes every derived fact universally sound — true for
 // ALL inputs, the only mode under which rewrite rules may act on
 // facts. Suite-derived input facts are sound only for the suite's
-// example inputs and are reserved for pruning and reporting.
+// example inputs and are reserved for plan folding and reporting.
 //
 // A program is a DAG evaluated in topological order, so one pass IS
 // the dataflow fixpoint; the iterative refinement lives in the
 // e-graph analysis (internal/eqsat), where congruence keeps merging
 // classes.
 //
-// dst, when non-nil, is reused as the result slice to keep the
-// pruning hot path allocation-free.
+// dst, when non-nil, is reused as the result slice, which keeps plan
+// compilation allocation-free.
 func Analyze(p *prog.Program, in []Value, dst []Value) []Value {
 	n := len(p.Nodes)
 	if cap(dst) < n {
@@ -60,7 +60,8 @@ func Analyze(p *prog.Program, in []Value, dst []Value) []Value {
 // InputFacts derives per-input abstract facts from a problem's
 // example set: the join of the exact singletons of every case's value
 // for that input. The resulting facts hold for every example case (and
-// only for those), which is exactly the premise the pruner needs.
+// only for those), which is exactly the premise of plan folding and of
+// a solution's reported facts: both speak only about the suite.
 func InputFacts(s *testcase.Suite) []Value {
 	in := make([]Value, s.NumInputs)
 	for i := range in {

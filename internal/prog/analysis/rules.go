@@ -68,7 +68,8 @@ type Subject interface {
 	// ok=false means nothing is known (treat as Top). Facts presented
 	// here MUST be universally sound — derived with all inputs
 	// unconstrained — because rules fire for every input vector.
-	// Suite-derived facts are reserved for the search pruner.
+	// Suite-derived facts (absint.InputFacts) hold only on the
+	// suite's own cases, so they must never reach a rule.
 	Fact(r Ref) (absint.Value, bool)
 }
 

@@ -11,9 +11,9 @@ import mathbits "math/bits"
 // and dead masks to know which value columns survived the edit
 // unchanged and where they move when the edit ends.
 //
-// The journal replaces the search loop's original double-buffered
-// proposal scheme (scratch.CopyFrom(cur) + mutate + swap): a move now
-// edits the current program directly and is reverted on rejection.
+// The journal replaces a double-buffered proposal scheme (copy the
+// current program, mutate the copy, swap on acceptance): a move edits
+// the current program directly and is reverted on rejection.
 // Because the journal only observes writes — it never reorders them,
 // and reverting reproduces the exact pre-edit node array — a
 // journaled apply/rollback sequence is bit-identical to the

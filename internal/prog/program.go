@@ -149,24 +149,6 @@ func (p *Program) Clone() *Program {
 	return q
 }
 
-// CopyFrom overwrites p with the contents of src, reusing p's backing
-// storage. It is the allocation-free analogue of Clone used by the
-// search's double-buffered proposal loop.
-func (p *Program) CopyFrom(src *Program) {
-	p.Nodes = append(p.Nodes[:0], src.Nodes...)
-	p.Root = src.Root
-	p.NumInputs = src.NumInputs
-	if src.orderOK {
-		p.order = append(p.order[:0], src.order...)
-		p.orderOK = true
-	} else {
-		p.orderOK = false
-	}
-	p.usersOK = false
-	p.aritySum = src.aritySum
-	p.aritySumOK = src.aritySumOK
-}
-
 // Invalidate drops the cached topological order, user masks, and
 // arity sum. Mutators must call it after any structural change. The
 // slices' backing memory is retained for the next rebuild.

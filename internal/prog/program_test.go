@@ -279,24 +279,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	p := build(t, "addq(x, 1)", 1)
-	q := NewZero(1)
-	q.CopyFrom(p)
-	if !q.Equal(p) {
-		t.Error("CopyFrom produced unequal program")
-	}
-	if q.Output([]uint64{5}) != 6 {
-		t.Error("CopyFrom result evaluates wrong")
-	}
-	// Mutating the copy must not affect the source.
-	q.Nodes[q.Root].Op = OpSub
-	q.Invalidate()
-	if p.Output([]uint64{5}) != 6 {
-		t.Error("CopyFrom aliased node storage")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	p := build(t, "addq(x, 1)", 1)
 	q := build(t, "addq(x, 1)", 1)

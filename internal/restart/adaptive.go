@@ -3,9 +3,7 @@ package restart
 import (
 	"context"
 
-	"stochsyn/internal/eqsat"
 	"stochsyn/internal/obs"
-	"stochsyn/internal/prog"
 	"stochsyn/internal/search"
 )
 
@@ -62,17 +60,6 @@ type Tree struct {
 	// (see Instrument). Instrumentation reads no search state beyond
 	// what the strategy already reads, so Results stay bit-identical.
 	Obs *obs.RestartHooks
-	// EqSat, when non-nil, records every fresh leaf's start program in
-	// the shared rewrite-equivalence memo (eqsat.Dedup.Seed). A restart
-	// whose seed is rewrite-equivalent to an earlier one is still run —
-	// skipping it would break the Luby schedule's guarantee — but the
-	// duplication is counted and traced, and the same memo's plateau
-	// side (search.Options.EqSat) steers the duplicated walk away from
-	// territory the earlier search covered. Setting EqSat forces the
-	// sequential executor: the memo's sampling is shared mutable state,
-	// so concurrent stepping would make trajectories depend on worker
-	// interleaving, forfeiting reproducibility.
-	EqSat *eqsat.Dedup
 }
 
 // Name implements Strategy.
@@ -114,7 +101,7 @@ func (t *Tree) RunContext(ctx context.Context, f search.Factory, budget int64) R
 	if t.T0 <= 0 {
 		panic("restart: tree base cutoff must be positive")
 	}
-	if t.Workers > 1 && t.EqSat == nil {
+	if t.Workers > 1 {
 		return t.runConcurrent(ctx, f, budget)
 	}
 	r := &treeRun{cfg: t, factory: f, ctx: ctx, budget: budget}
@@ -167,31 +154,7 @@ func (r *treeRun) newLeaf() *treeNode {
 			})
 		}
 	}
-	seedDedup(r.cfg, s, uint64(r.res.Searches-1))
 	return &treeNode{label: 1, s: s}
-}
-
-// seedDedup records a fresh search's start program in the shared
-// rewrite-equivalence memo, tracing duplicated seeds. It runs on the
-// goroutine that created the leaf (the planning goroutine in the
-// concurrent executor), so trace-event order matches the sequential
-// schedule.
-func seedDedup(cfg *Tree, s search.Search, id uint64) {
-	d := cfg.EqSat
-	if d == nil {
-		return
-	}
-	pr, ok := s.(interface{ Program() *prog.Program })
-	if !ok {
-		return
-	}
-	if d.Seed(pr.Program()) {
-		if h := cfg.Obs; h != nil && h.Tracer != nil {
-			h.Tracer.Emit("restart_seed_dup", map[string]any{
-				"strategy": cfg.Name(), "search": id,
-			})
-		}
-	}
 }
 
 // run executes n's search for units*T0 iterations (clipped to the

@@ -320,10 +320,6 @@ func (e *treeExec) newLeaf() *treeNode {
 			})
 		}
 	}
-	// Unreachable in practice — RunContext routes EqSat runs to the
-	// sequential executor — but kept so a future lifting of that guard
-	// cannot silently drop seed accounting.
-	seedDedup(e.cfg, s, uint64(e.searches-1))
 	return &treeNode{label: 1, s: s}
 }
 

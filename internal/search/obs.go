@@ -24,9 +24,6 @@ import (
 //	stochsyn_plan_cache_hits_total
 //	stochsyn_plan_patches_total
 //	stochsyn_plan_fused_nodes_total
-//	stochsyn_prune_checked_total
-//	stochsyn_prune_rejected_total
-//	stochsyn_prune_unsound_check_total
 //
 // All searches share these series regardless of restart id — per-search
 // cardinality lives in the trace stream, not the registry. Both
@@ -47,9 +44,6 @@ func NewObsHooks(reg *obs.Registry, tracer *obs.Tracer) *obs.SearchHooks {
 		PlanCacheHits:        reg.Counter("stochsyn_plan_cache_hits_total"),
 		PlanPatches:          reg.Counter("stochsyn_plan_patches_total"),
 		PlanFusedNodes:       reg.Counter("stochsyn_plan_fused_nodes_total"),
-		PruneChecked:         reg.Counter("stochsyn_prune_checked_total"),
-		PruneRejected:        reg.Counter("stochsyn_prune_rejected_total"),
-		PruneUnsound:         reg.Counter("stochsyn_prune_unsound_check_total"),
 		Tracer:               tracer,
 		// Cost samples arrive at flush granularity (every
 		// CancelCheckEvery iterations), which is cheap enough to leave
@@ -86,11 +80,5 @@ func NewObsHooks(reg *obs.Registry, tracer *obs.Tracer) *obs.SearchHooks {
 		"Dirty tape entries re-lowered by the incremental recompile path, one per dirty node per proposal.")
 	reg.SetHelp("stochsyn_plan_fused_nodes_total",
 		"Nodes lowered to a fused form: constant-folded whole or compiled to an immediate-operand kernel.")
-	reg.SetHelp("stochsyn_prune_checked_total",
-		"Proposals probed by the abstract-interpretation pruner (Options.Prune).")
-	reg.SetHelp("stochsyn_prune_rejected_total",
-		"Proposals the pruner proved unable to match the example set, skipped before evaluation.")
-	reg.SetHelp("stochsyn_prune_unsound_check_total",
-		"Pruned proposals the concrete re-check (PruneVerify) found to solve the suite; nonzero means an unsound abstract domain.")
 	return h
 }

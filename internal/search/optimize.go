@@ -34,23 +34,13 @@ func (r *Run) effective(c float64, p *prog.Program) float64 {
 // Proposed counts every draw, Accepted the proposals that passed the
 // acceptance rule. Proposed minus Accepted includes both rejected and
 // invalid proposals.
-//
-// Evaluated counts valid proposals that reached the concrete cost
-// evaluator; without pruning it equals the valid-proposal count, with
-// Options.Prune it is smaller by exactly PruneRejected. PruneChecked
-// and PruneRejected count abstract-interpretation prune probes and
-// the proposals they proved hopeless; PruneUnsound counts pruned
-// proposals the concrete evaluator nevertheless found to solve the
-// suite (Options.PruneVerify) — always zero unless the abstract
-// domains are unsound.
+// Evaluated counts valid proposals, each of which reaches the cost
+// evaluator.
 type Stats struct {
 	Proposed [mutate.NumMoves]int64
 	Accepted [mutate.NumMoves]int64
 
-	Evaluated     int64
-	PruneChecked  int64
-	PruneRejected int64
-	PruneUnsound  int64
+	Evaluated int64
 }
 
 // TotalProposed sums proposals across move types.

@@ -17,11 +17,9 @@ import (
 	"sync/atomic"
 
 	"stochsyn/internal/cost"
-	"stochsyn/internal/eqsat"
 	"stochsyn/internal/mutate"
 	"stochsyn/internal/obs"
 	"stochsyn/internal/prog"
-	"stochsyn/internal/prog/analysis/absint"
 	"stochsyn/internal/prog/plan"
 	"stochsyn/internal/testcase"
 )
@@ -157,32 +155,6 @@ type Options struct {
 	// (FuzzIncrementalEval) checks continuously. This is a verification
 	// and benchmarking knob, not a performance option.
 	LegacyEval bool
-	// EqSat, when non-nil, is a shared rewrite-equivalence memo: a
-	// sampled fraction of cost-neutral accepted proposals is hashed by
-	// e-class (eqsat.EClassHash) and rejected when the walk has already
-	// visited a rewrite-equivalent program at the same or lower cost,
-	// pushing plateau wandering toward genuinely new states. The memo
-	// never touches the run's random stream, so a nil EqSat run is
-	// bit-identical to the pre-knob search (the oracle tables pin
-	// this). Deliberately a trajectory-changing knob when set.
-	EqSat *eqsat.Dedup
-	// Prune enables abstract-interpretation proposal pruning: before a
-	// proposal is evaluated, a forward known-bits + interval pass under
-	// the suite's per-input facts computes the abstract root value, and
-	// proposals whose abstract output provably cannot equal some target
-	// output are rejected without touching the concrete evaluator. The
-	// pruner runs strictly after the acceptance threshold is drawn and
-	// never draws from the random stream itself, so the RNG sequence is
-	// identical with the knob on or off and a Prune=false run is
-	// bit-identical to the pre-knob search (the oracle tables pin
-	// this). Like EqSat, Prune deliberately changes the trajectory when
-	// set: pruned proposals never enter the chain.
-	Prune bool
-	// PruneVerify additionally re-runs every pruned proposal through
-	// the concrete evaluator and counts any that actually solve the
-	// suite (Stats.PruneUnsound) — an unsoundness canary for bench -exp
-	// prune. Expensive; only meaningful with Prune set.
-	PruneVerify bool
 	// Obs, when non-nil, attaches observability hooks to the run:
 	// iteration and per-move counters, cost gauges, plateau
 	// detection, and sampled cost-trajectory trace events. Updates
@@ -216,9 +188,6 @@ type Run struct {
 	rng    *rand.Rand
 	rngSrc *rand.PCG
 	mut    *mutate.Mutator
-
-	dedup  *eqsat.Dedup   // nil unless Options.EqSat
-	pruner *absint.Pruner // nil unless Options.Prune
 
 	cur   *prog.Program
 	cost  float64 // correctness cost, plus the size term in MinimizeSize mode
@@ -285,11 +254,7 @@ func New(suite *testcase.Suite, opts Options) *Run {
 		rng:    rand.New(src),
 		rngSrc: src,
 		mut:    mutate.New(opts.Set, suite, opts.Redundancy),
-		dedup:  opts.EqSat,
 		gap:    1,
-	}
-	if opts.Prune {
-		r.pruner = absint.NewPruner(suite)
 	}
 	r.obsHooks = opts.Obs
 	r.obsIters = -1 // force the first publish even at iteration 0
@@ -402,24 +367,6 @@ func (r *Run) iterate() bool {
 		if r.minimize {
 			bound -= r.sizeWeight * float64(r.cur.BodyLen())
 		}
-		if r.pruned(r.cur) {
-			// Provably cannot match the example set: skip evaluation and
-			// undo the edit, exactly as if the threshold had failed. The
-			// threshold draw above keeps the RNG sequence identical to an
-			// unpruned run; only the trajectory differs.
-			if r.opts.PruneVerify {
-				r.eng.Begin(&r.jr)
-				if r.kind.OfState(r.eng, math.Inf(1)) == 0 {
-					r.stats.PruneUnsound++
-				}
-				r.eng.Abort()
-			}
-			r.cur.Rollback()
-			if r.opts.StateHook != nil {
-				r.opts.StateHook(r.cur)
-			}
-			return false
-		}
 		r.stats.Evaluated++
 		r.eng.Begin(&r.jr)
 		var c float64
@@ -429,20 +376,13 @@ func (r *Run) iterate() bool {
 			c = r.kind.OfState(r.eng, bound)
 		}
 		if c <= bound {
-			if r.rejectRevisit(c, r.cur) {
-				// Rewrite-equivalent plateau revisit: reject the move
-				// exactly as if the threshold had failed.
-				r.eng.Abort()
-				r.cur.Rollback()
-			} else {
-				// A non-Inf cost means every case block was pulled,
-				// which is exactly Commit's precondition.
-				r.stats.Accepted[mv]++
-				r.eng.Commit()
-				r.cur.EndEdit()
-				if r.accept(c) {
-					return true
-				}
+			// A non-Inf cost means every case block was pulled, which is
+			// exactly Commit's precondition.
+			r.stats.Accepted[mv]++
+			r.eng.Commit()
+			r.cur.EndEdit()
+			if r.accept(c) {
+				return true
 			}
 		} else {
 			r.eng.Abort()
@@ -458,46 +398,6 @@ func (r *Run) iterate() bool {
 		r.opts.StateHook(r.cur)
 	}
 	return false
-}
-
-// rejectRevisit reports whether an about-to-be-accepted proposal p
-// with correctness cost c should instead be rejected as a
-// rewrite-equivalent plateau revisit (Options.EqSat). Only exactly
-// cost-neutral, non-solving proposals are ever checked: strict
-// improvements and solutions must never be vetoed, and
-// cost-increasing acceptances are precisely the escape moves the memo
-// exists to encourage. With no memo attached this is a nil check, and
-// the memo itself never draws from the random stream, so the nil path
-// stays bit-identical to the pre-knob search.
-func (r *Run) rejectRevisit(c float64, p *prog.Program) bool {
-	if r.dedup == nil || c == 0 {
-		return false
-	}
-	eff := c
-	if r.minimize {
-		eff = r.effective(c, p)
-	}
-	if eff != r.cost {
-		return false
-	}
-	return r.dedup.Visited(p, eff)
-}
-
-// pruned reports whether proposal p is provably unable to match the
-// example set (Options.Prune), bumping the prune counters. With
-// pruning off this is a nil check and the counters stay zero, so the
-// off path is bit-identical to the pre-knob search; the pruner itself
-// never draws from the random stream.
-func (r *Run) pruned(p *prog.Program) bool {
-	if r.pruner == nil {
-		return false
-	}
-	r.stats.PruneChecked++
-	if !r.pruner.Rejects(p) {
-		return false
-	}
-	r.stats.PruneRejected++
-	return true
 }
 
 // accept performs the post-acceptance bookkeeping, with c the
@@ -581,15 +481,6 @@ func (r *Run) publish() {
 		if d := r.stats.Accepted[i] - r.obsStats.Accepted[i]; d > 0 {
 			h.AcceptedFor(i).Add(float64(d))
 		}
-	}
-	if d := r.stats.PruneChecked - r.obsStats.PruneChecked; d > 0 {
-		h.PruneChecked.Add(float64(d))
-	}
-	if d := r.stats.PruneRejected - r.obsStats.PruneRejected; d > 0 {
-		h.PruneRejected.Add(float64(d))
-	}
-	if d := r.stats.PruneUnsound - r.obsStats.PruneUnsound; d > 0 {
-		h.PruneUnsound.Add(float64(d))
 	}
 	r.obsStats = r.stats
 	es := r.eng.Stats()

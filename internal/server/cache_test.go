@@ -145,8 +145,8 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		func(o *stochsyn.Options) { o.Strategy = "luby" },
 		func(o *stochsyn.Options) { o.Beta = 2 },
 		func(o *stochsyn.Options) { o.Greedy = true },
-		func(o *stochsyn.Options) { o.EqSat = true },
-		func(o *stochsyn.Options) { o.Prune = true },
+		func(o *stochsyn.Options) { o.Cost = stochsyn.IncorrectTests },
+		func(o *stochsyn.Options) { o.Dialect = stochsyn.Model },
 	} {
 		o := base
 		mod(&o)

@@ -117,18 +117,6 @@ func hashJob(version string, cases []stochsyn.Case, numInputs int, o stochsyn.Op
 	writeU64(uint64(o.Budget))
 	writeStr(string(o.Dialect))
 	writeU64(o.Seed)
-	// EqSat and Prune deliberately change the search trajectory (unlike
-	// Workers and Obs), so they must fragment the cache.
-	if o.EqSat {
-		writeU64(1)
-	} else {
-		writeU64(0)
-	}
-	if o.Prune {
-		writeU64(1)
-	} else {
-		writeU64(0)
-	}
 
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -146,8 +134,8 @@ func hashJob(version string, cases []stochsyn.Case, numInputs int, o stochsyn.Op
 // re-verifies it against the submitted problem before serving it (a
 // solved program either matches the new suite or the hit is discarded).
 // Options that change what a run would produce (cost, beta, greedy,
-// canonical strategy, budget, dialect, seed, the EqSat flag itself)
-// participate exactly as in CanonicalCacheKey.
+// canonical strategy, budget, dialect, seed) participate exactly as in
+// CanonicalCacheKey.
 func EqSatCacheKey(expr string, numInputs int, opts stochsyn.Options) (string, error) {
 	o, err := opts.Normalized()
 	if err != nil {

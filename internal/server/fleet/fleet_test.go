@@ -424,9 +424,10 @@ func TestFleetEqSatCacheHit(t *testing.T) {
 
 // TestSubmitBodyLimits sends the same bad submissions to a synthd and
 // to a coordinator in front of it: a body over server.MaxSpecBytes
-// must get 413 with an error naming the limit, and a malformed body —
-// bad JSON, an unknown field, or anything after the spec — 400. None
-// may reach a job.
+// must get 413 with an error naming the limit, a malformed body — bad
+// JSON, an unknown field (the retired eqsat and prune options among
+// them), or anything after the spec — 400, and a num_cases over
+// server.MaxNumCases 400 naming that limit. None may reach a job.
 func TestSubmitBodyLimits(t *testing.T) {
 	w := newWorker(t, server.Config{Workers: 1})
 	defer w.stop()
@@ -446,6 +447,9 @@ func TestSubmitBodyLimits(t *testing.T) {
 			{"unknown-field", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "budget": 5}`, http.StatusBadRequest, "bad job spec"},
 			{"trailing-data", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} {}`, http.StatusBadRequest, "data after the job spec"},
 			{"trailing-garbage", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} nonsense`, http.StatusBadRequest, "bad job spec"},
+			{"eqsat-option", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "options": {"eqsat": true}}`, http.StatusBadRequest, `unknown field "eqsat"`},
+			{"prune-option", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "options": {"prune": true}}`, http.StatusBadRequest, `unknown field "prune"`},
+			{"num-cases", `{"problem": {"expr": "x", "inputs": 1, "num_cases": 1000000000}}`, http.StatusBadRequest, strconv.Itoa(server.MaxNumCases)},
 		} {
 			t.Run(target.name+"/"+tc.name, func(t *testing.T) {
 				resp, err := http.Post(target.url+"/v1/jobs", "application/json", strings.NewReader(tc.body))

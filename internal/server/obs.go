@@ -77,26 +77,7 @@ func (s *Server) initObs() {
 	r.SetHelp("stochsyn_singleflight_promotions_total", "Singleflight followers re-dispatched after their leader ended cancelled or failed.")
 	r.SetHelp("stochsyn_cache_canonical_hits_total", "Cache hits where the entry came from a structurally different, semantically equal submission.")
 	r.SetHelp("stochsyn_eqsat_cache_hits_total", "Cache hits served through the rewrite-equivalence (e-class) index after re-verification against the submitted examples.")
-	// The per-run eqsat series are populated by the library
-	// (stochsyn.Options.EqSat flushes them after each run); registering
-	// their help here keeps /metrics self-describing even before the
-	// first EqSat job runs.
-	r.SetHelp("stochsyn_eqsat_saturations_total", "Equality-saturation runs performed (one per e-class hash).")
-	r.SetHelp("stochsyn_eqsat_eclass_merges_total", "E-class unions performed during saturation.")
-	r.SetHelp("stochsyn_eqsat_extractions_total", "Cost-minimal extractions performed on saturated e-graphs.")
-	r.SetHelp("stochsyn_eqsat_fallbacks_total", "Extractions discarded by the Eval-equality safety net (fell back to the input program).")
-	r.SetHelp("stochsyn_eqsat_plateau_checks_total", "Cost-neutral plateau moves hashed by the rewrite-equivalence memo (post-sampling).")
-	r.SetHelp("stochsyn_eqsat_plateau_hits_total", "Plateau moves rejected as rewrite-equivalent revisits.")
-	r.SetHelp("stochsyn_eqsat_seeds_total", "Restart seeds hashed by the rewrite-equivalence memo.")
-	r.SetHelp("stochsyn_eqsat_seed_dups_total", "Restart seeds rewrite-equivalent to an earlier seed of the same run.")
-	r.SetHelp("stochsyn_eqsat_fact_consts_total", "E-classes proved constant by the abstract e-class analysis alone (out of the constant folder's reach).")
-	r.SetHelp("stochsyn_eqsat_fact_conflicts_total", "E-class fact meets that came out empty — the abstract unsoundness canary; must stay zero.")
-	r.SetHelp("stochsyn_eqsat_empty_classes_total", "E-classes cut before extraction because their fact was empty; must stay zero.")
 	r.SetHelp("stochsyn_analysis_findings_total", "Static-analysis findings (fold/lint/liveness) on completed jobs' solutions.")
-	// The prune series are likewise library-populated (Options.Prune).
-	r.SetHelp("stochsyn_prune_checked_total", "Proposals checked against the abstract-interpretation pruner.")
-	r.SetHelp("stochsyn_prune_rejected_total", "Proposals rejected without evaluation: abstract output cannot contain every example output.")
-	r.SetHelp("stochsyn_prune_unsound_check_total", "Pruned proposals that concretely satisfied the suite (PruneVerify audit); must stay zero.")
 	r.SetHelp("stochsyn_job_queue_wait_seconds", "Time jobs spent queued before a worker claimed them.")
 	r.SetHelp("stochsyn_job_run_seconds", "Wall-clock synthesis time of executed jobs.")
 

@@ -46,7 +46,8 @@ type ProblemSpec struct {
 	Expr string `json:"expr,omitempty"`
 	// Inputs is the input arity (required with Expr).
 	Inputs int `json:"inputs,omitempty"`
-	// NumCases is the number of sampled cases (default 100, with Expr).
+	// NumCases is the number of sampled cases (default 100, at most
+	// MaxNumCases, with Expr).
 	NumCases int `json:"num_cases,omitempty"`
 	// CaseSeed seeds case generation (default 1, with Expr).
 	CaseSeed uint64 `json:"case_seed,omitempty"`
@@ -79,15 +80,6 @@ type OptionsSpec struct {
 	// Config.WorkerBudget). Results are bit-identical regardless of
 	// the cap, so caching stays sound.
 	Workers int `json:"workers,omitempty"`
-	// EqSat enables rewrite-aware restarts (stochsyn.Options.EqSat).
-	// Unlike Workers it deliberately changes the search trajectory, so
-	// it participates in every cache key.
-	EqSat bool `json:"eqsat,omitempty"`
-	// Prune enables abstract-interpretation proposal pruning
-	// (stochsyn.Options.Prune). Like EqSat it changes the search
-	// trajectory (pruned proposals are never evaluated), so it
-	// participates in every cache key.
-	Prune bool `json:"prune,omitempty"`
 }
 
 // options converts the wire form to stochsyn.Options.
@@ -101,8 +93,6 @@ func (s OptionsSpec) options() stochsyn.Options {
 		Dialect:  stochsyn.Dialect(s.Dialect),
 		Seed:     s.Seed,
 		Workers:  s.Workers,
-		EqSat:    s.EqSat,
-		Prune:    s.Prune,
 	}
 }
 
@@ -123,6 +113,14 @@ func (s JobSpec) Build() (*stochsyn.Problem, stochsyn.Options, error) {
 	}
 	return p, opts, nil
 }
+
+// MaxNumCases caps problem.num_cases. The server generates an expr
+// problem's cases itself, so without a cap a few bytes of spec could
+// ask for gigabytes of suite before the job is even queued. The cap
+// sits below the 161K one-input examples a MaxSpecBytes body can carry
+// (about 26 bytes each), so num_cases asks for no more cases than an
+// examples spec could send.
+const MaxNumCases = 100_000
 
 func (s ProblemSpec) build() (*stochsyn.Problem, error) {
 	sources := 0
@@ -146,6 +144,9 @@ func (s ProblemSpec) build() (*stochsyn.Problem, error) {
 		numCases := s.NumCases
 		if numCases == 0 {
 			numCases = 100
+		}
+		if numCases > MaxNumCases {
+			return nil, fmt.Errorf("%w: problem.num_cases %d exceeds the limit of %d", ErrBadSpec, numCases, MaxNumCases)
 		}
 		seed := s.CaseSeed
 		if seed == 0 {

@@ -58,12 +58,6 @@ func SynthesizeParallelContext(ctx context.Context, p *Problem, opts Options, wo
 	if err != nil {
 		return Result{}, err
 	}
-	if o.EqSat {
-		// EqSat runs are sequential by contract (the shared memo's
-		// sampling order must not depend on worker interleaving), so
-		// the parallel entry point degrades to the sequential one.
-		return SynthesizeContext(ctx, p, opts)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -71,7 +65,7 @@ func SynthesizeParallelContext(ctx context.Context, p *Problem, opts Options, wo
 		workers = 64
 	}
 	o.Workers = workers
-	strat, err := o.strategy(nil)
+	strat, err := o.strategy()
 	if err != nil {
 		return Result{}, err
 	}
@@ -93,7 +87,6 @@ func SynthesizeParallelContext(ctx context.Context, p *Problem, opts Options, wo
 		Redundancy: redundancy,
 		Seed:       o.Seed,
 		Ctx:        sctx,
-		Prune:      o.Prune,
 	})
 	if ctx == nil {
 		ctx = context.Background()

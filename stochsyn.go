@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"stochsyn/internal/cost"
-	"stochsyn/internal/eqsat"
 	"stochsyn/internal/obs"
 	"stochsyn/internal/prog"
 	"stochsyn/internal/prog/analysis"
@@ -190,39 +189,13 @@ type Options struct {
 	// Synthesize; see SynthesizeParallel for the multi-core naive
 	// path.
 	Workers int
-	// EqSat enables rewrite-aware restarts (internal/eqsat): all
-	// searches of the run share an equality-saturation memo that (a)
-	// rejects a sampled fraction of cost-neutral plateau moves whose
-	// program is rewrite-equivalent to one the walk already visited at
-	// the same or lower cost, and (b) counts restart seeds that are
-	// rewrite-equivalent to earlier ones. With EqSat false (the
-	// default) results are bit-identical to builds that predate the
-	// knob — the oracle tables pin this; with it true the search
-	// trajectory deliberately changes, so the flag participates in
-	// result-cache keys. EqSat runs execute the doubling tree
-	// sequentially (the shared memo's sampling order must not depend
-	// on worker interleaving), so Workers is ignored when it is set.
-	EqSat bool
-	// Prune enables abstract-interpretation proposal pruning
-	// (internal/prog/analysis/absint): each valid proposal is first run
-	// through a forward known-bits + interval dataflow pass under facts
-	// derived from the problem's example inputs, and proposals whose
-	// abstract output provably cannot equal some example output are
-	// rejected without a concrete evaluation. Rejection is sound (a
-	// proof of a miss), but skipping evaluations deliberately changes
-	// the search trajectory, exactly like EqSat — so the flag
-	// participates in result-cache keys, and with Prune false (the
-	// default) results are bit-identical to builds that predate the
-	// knob (the oracle tables pin this).
-	Prune bool
 	// Obs, when non-nil, attaches the observability sink (metrics
 	// registry and event tracer, see internal/obs) to the run: the
 	// search loop and the restart strategy publish stochsyn_* series
 	// and structured trace events into it. Attaching Obs never changes
 	// results — instrumentation is flushed in amortized batches off
 	// the random stream — and it does not participate in option
-	// normalization, validation, or result-cache keys (unlike EqSat,
-	// which does).
+	// normalization, validation, or result-cache keys.
 	Obs *obs.Obs
 }
 
@@ -379,11 +352,7 @@ func SynthesizeContext(ctx context.Context, p *Problem, opts Options) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	var dedup *eqsat.Dedup
-	if o.EqSat {
-		dedup = eqsat.NewDedup(eqsat.Budget{})
-	}
-	strat, err := o.strategy(dedup)
+	strat, err := o.strategy()
 	if err != nil {
 		return Result{}, err
 	}
@@ -398,8 +367,6 @@ func SynthesizeContext(ctx context.Context, p *Problem, opts Options) (Result, e
 		Redundancy: redundancy,
 		Seed:       o.Seed,
 		Ctx:        sctx,
-		EqSat:      dedup,
-		Prune:      o.Prune,
 	}
 	if o.Obs != nil {
 		sopts.Obs = search.NewObsHooks(o.Obs.Reg, o.Obs.Tracer)
@@ -416,9 +383,6 @@ func SynthesizeContext(ctx context.Context, p *Problem, opts Options) (Result, e
 	}
 	start := time.Now()
 	res := strat.RunContext(ctx, factory, o.Budget)
-	if dedup != nil {
-		flushEqSatStats(o.Obs, dedup.Stats())
-	}
 	if o.Obs != nil {
 		o.Obs.Trace().Emit("search_stop", map[string]any{
 			"strategy": strat.Name(), "solved": res.Solved,
@@ -468,51 +432,16 @@ func auditSolution(sol *prog.Program, suite *testcase.Suite) (lint, facts []stri
 
 // strategy resolves the normalized options to a restart strategy,
 // applying the Workers knob to the doubling-tree strategies (the only
-// ones with a deterministic concurrent executor) and attaching the
-// shared rewrite-equivalence memo when EqSat is on. EqSat runs stay
-// sequential — the memo's sampling order must be a function of the
-// schedule, not of worker interleaving — so Workers is not applied.
-func (o Options) strategy(dedup *eqsat.Dedup) (restart.Strategy, error) {
+// ones with a deterministic concurrent executor).
+func (o Options) strategy() (restart.Strategy, error) {
 	strat, err := restart.New(o.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	if tree, ok := strat.(*restart.Tree); ok {
-		if dedup != nil {
-			tree.EqSat = dedup
-		} else if o.Workers > 1 && tree.Workers == 0 {
-			tree.Workers = o.Workers
-		}
+	if tree, ok := strat.(*restart.Tree); ok && o.Workers > 1 && tree.Workers == 0 {
+		tree.Workers = o.Workers
 	}
 	return strat, nil
-}
-
-// flushEqSatStats publishes one run's rewrite-equivalence memo
-// counters into the stochsyn_eqsat_* metric series and emits a
-// summarizing trace event. It runs strictly after the strategy has
-// returned.
-func flushEqSatStats(o *obs.Obs, st eqsat.DedupStats) {
-	if o == nil {
-		return
-	}
-	reg := o.Reg
-	reg.Counter("stochsyn_eqsat_saturations_total").Add(float64(st.EqSat.Saturations))
-	reg.Counter("stochsyn_eqsat_eclass_merges_total").Add(float64(st.EqSat.Merges))
-	reg.Counter("stochsyn_eqsat_extractions_total").Add(float64(st.EqSat.Extractions))
-	reg.Counter("stochsyn_eqsat_fallbacks_total").Add(float64(st.EqSat.Fallbacks))
-	reg.Counter("stochsyn_eqsat_plateau_checks_total").Add(float64(st.Checks))
-	reg.Counter("stochsyn_eqsat_plateau_hits_total").Add(float64(st.Hits))
-	reg.Counter("stochsyn_eqsat_seeds_total").Add(float64(st.Seeds))
-	reg.Counter("stochsyn_eqsat_seed_dups_total").Add(float64(st.SeedDups))
-	reg.Counter("stochsyn_eqsat_fact_consts_total").Add(float64(st.EqSat.FactConsts))
-	reg.Counter("stochsyn_eqsat_fact_conflicts_total").Add(float64(st.EqSat.FactConflicts))
-	reg.Counter("stochsyn_eqsat_empty_classes_total").Add(float64(st.EqSat.EmptyClasses))
-	o.Trace().Emit("eqsat_stats", map[string]any{
-		"checks": st.Checks, "hits": st.Hits,
-		"seeds": st.Seeds, "seed_dups": st.SeedDups,
-		"saturations": st.EqSat.Saturations, "merges": st.EqSat.Merges,
-		"fact_consts": st.EqSat.FactConsts, "fact_conflicts": st.EqSat.FactConflicts,
-	})
 }
 
 // OptimizeResult reports a superoptimization outcome.

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"stochsyn/internal/cost"
-	"stochsyn/internal/obs"
 	"stochsyn/internal/prog"
 	"stochsyn/internal/search"
 )
@@ -545,49 +544,6 @@ func TestSynthesizeParallelNaive(t *testing.T) {
 	}
 	if !prog.Matches(p) {
 		t.Error("parallel naive solution does not match")
-	}
-}
-
-// EqSat wiring: a rewrite-aware run still solves, is deterministic in
-// the seed, and publishes the stochsyn_eqsat_* series; the off state
-// is pinned bit-identical to the pre-knob search by the oracle tables
-// (oracle_test.go), so this test only exercises the on state.
-func TestSynthesizeEqSat(t *testing.T) {
-	problem, err := ProblemFromFunc(func(in []uint64) uint64 { return in[0] & (in[0] - 1) }, 1, 100, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := obs.New()
-	opts := Options{EqSat: true, Seed: 7, Budget: 4_000_000, Obs: sink}
-	res, err := Synthesize(problem, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Fatalf("EqSat run did not solve: %+v", res)
-	}
-	var buf strings.Builder
-	if err := sink.Reg.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{
-		"stochsyn_eqsat_saturations_total",
-		"stochsyn_eqsat_plateau_checks_total",
-		"stochsyn_eqsat_seeds_total",
-	} {
-		if !strings.Contains(buf.String(), series) {
-			t.Errorf("metrics output missing %s", series)
-		}
-	}
-
-	opts.Obs = nil
-	again, err := Synthesize(problem, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Duration, again.Duration = 0, 0
-	if !reflect.DeepEqual(res, again) {
-		t.Fatalf("EqSat run not deterministic:\n  %+v\n  %+v", res, again)
 	}
 }
 
