@@ -21,7 +21,7 @@ ci:
 	$(call gate,vet,$(GO) vet ./...)
 	$(call gate,fmt,$(MAKE) -s fmt)
 	$(call gate,lint,$(GO) run ./cmd/repolint)
-	$(call gate,fuzz,$(GO) test -run FuzzIncrementalEval ./internal/search/ && $(GO) test -run FuzzOfPlanBlocks ./internal/cost/ && $(GO) test -run FuzzEqSat ./internal/eqsat/ && $(GO) test -run FuzzAbstractDomains ./internal/prog/analysis/absint/)
+	$(call gate,fuzz,$(GO) test -run FuzzIncrementalEval ./internal/search/ && $(GO) test -run FuzzOfPlanBlocks ./internal/cost/ && $(GO) test -run FuzzEqSat ./internal/eqsat/ && $(GO) test -run FuzzAbstractDomains ./internal/prog/analysis/absint/ && $(GO) test -run FuzzDivKernels ./internal/prog/plan/)
 	$(call gate,purego,$(MAKE) -s purego)
 	$(call gate,eqsat-smoke,$(GO) test -run TestEqSatSmoke -count=1 ./internal/eqsat/)
 	$(call gate,bench-eval,$(MAKE) -s bench-check)
@@ -30,7 +30,7 @@ ci:
 	$(call gate,exec-stress,$(MAKE) -s exec-stress)
 	$(call gate,server-smoke,sh scripts/server_smoke.sh)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz[4 corpora] purego[scalar kernels + arm64 vet] eqsat-smoke bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz[5 corpora] purego[scalar kernels + arm64 vet] eqsat-smoke bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -58,12 +58,14 @@ race:
 # sums run as vector assembly; the purego build tag (the Go convention
 # for "no assembly") selects the scalar Go kernels, the only path on
 # other CPUs and other GOARCH values. Test the packages that carry them
-# and replay the two bit-identity fuzz corpora on that path, then vet
-# the plan and cost packages for arm64, where no assembly builds.
+# and replay the two bit-identity fuzz corpora and the division
+# kernels' corpus on that path, then vet the plan and cost packages
+# for arm64, where no assembly builds.
 purego:
 	$(GO) test -tags purego ./internal/prog/plan/ ./internal/cost/ ./internal/search/ .
 	$(GO) test -tags purego -run FuzzIncrementalEval ./internal/search/
 	$(GO) test -tags purego -run FuzzOfPlanBlocks ./internal/cost/
+	$(GO) test -tags purego -run FuzzDivKernels ./internal/prog/plan/
 	GOARCH=arm64 $(GO) vet ./internal/prog/plan/ ./internal/cost/
 
 # Repeat the concurrent tree executor's tests under the race detector:

@@ -10,20 +10,25 @@
 // kernel: 8 cases per iteration, then one masked iteration for the last
 // 0-7 cases of any [c0, c1). The VI skeleton binds the body's right
 // operand to the broadcast immediate and the IV skeleton its left, so
-// an opcode's three forms share one body.
+// an opcode's three forms share one body. A row may also name the work
+// that reads only its right operand (perB) or only its left (perA):
+// VI runs perB once per call, before the loop, and IV runs perA there;
+// every other form runs them in the loop, ahead of the body.
 //
 // Bodies use these placeholders:
 //
 //	{a} {b}  left and right operand, 8 cases of each
 //	{d}      the result, stored to the destination column
-//	{t} {u}  vector scratch registers
-//	{k}      an opmask scratch register
-//	{m63} {m31} {lo32} {lo16} {lo8} {one} {ones} {zero}
+//	{t} {u} {s0}..{s7}
+//	         vector scratch registers
+//	{k} {k3}..{k6}
+//	         opmask scratch registers
+//	{m63} {m31} {lo32} {lo16} {lo8} {one} {ones} {zero} {fone} {min}
 //	         broadcast constants: 63, 31, 0xffffffff, 0xffff, 0xff, 1,
-//	         all ones, zero
+//	         all ones, zero, the float64 1.0 and MinInt64
 //	{bswap}  the VPSHUFB control that reverses the bytes of each word
 //
-// The kernel loads a constant only when its body names it.
+// The kernel loads a constant only when its row names it.
 //
 // Usage, from internal/prog/plan (go generate ./internal/prog/plan):
 //
@@ -49,6 +54,10 @@ type op struct {
 	name  string // kernel name suffix; "" for a row with no vector kernels
 	forms string // the forms served: "V" (unary), "VV", "VV VI", "VV VI IV"
 	body  string // the vector body, instructions separated by ";"
+	// perA and perB are instructions that read only {a} or only {b}
+	// (and constants), hoisted out of the IV or VI loop. The registers
+	// they write must survive the body.
+	perA, perB string
 	// A row with a name but no body reuses the kernels an earlier row
 	// of that name emitted; a row with no name falls back to the scalar
 	// kernels for the reason in note.
@@ -79,10 +88,10 @@ var ops = []op{
 	// but measured about 4× slower per case.
 	{op: "OpMul", name: "Mul", forms: vvVI, body: "VPMULUDQ {b}, {a}, {d}; VPSRLQ $32, {a}, {t}; VPMULUDQ {b}, {t}, {t}; " +
 		"VPSRLQ $32, {b}, {u}; VPMULUDQ {u}, {a}, {u}; VPADDQ {u}, {t}, {t}; VPSLLQ $32, {t}, {t}; VPADDQ {t}, {d}, {d}"},
-	{op: "OpDivU", note: "AVX-512 has no integer divide"},
-	{op: "OpRemU", note: "AVX-512 has no integer divide"},
-	{op: "OpDivS", note: "AVX-512 has no integer divide"},
-	{op: "OpRemS", note: "AVX-512 has no integer divide"},
+	divide("OpDivU", "DivU", false, false),
+	divide("OpRemU", "RemU", false, true),
+	divide("OpDivS", "DivS", true, false),
+	divide("OpRemS", "RemS", true, true),
 	{op: "OpAnd", name: "And", forms: vvVI, body: "VPANDQ {b}, {a}, {d}"},
 	{op: "OpOr", name: "Or", forms: vvVI, body: "VPORQ {b}, {a}, {d}"},
 	{op: "OpXor", name: "Xor", forms: vvVI, body: "VPXORQ {b}, {a}, {d}"},
@@ -132,6 +141,68 @@ var ops = []op{
 	{op: "OpMShr", name: "MShr", forms: unary, body: "VPSRLQ $1, {a}, {d}"},
 }
 
+// The divide fragment computes the quotient and remainder of the
+// magnitudes {am} / {bm}, 8 lanes of 64-bit words, from float64
+// arithmetic with directed rounding (DESIGN.md §15.1 proves it exact):
+//
+//	rb = rz(1 / ru(bm))
+//	q0 = trunc(rz(rd(am) · rb)) ≤ am/bm, so r = am − q0·bm < (2^14+1)·bm
+//	q1 = trunc(rz(rd(r) · rb)) is ⌊r/bm⌋ or one less, so r − q1·bm < 2·bm
+//	where r − q1·bm ≥ bm ({k}), the quotient is q0 + q1 + 1
+//
+// The 64-bit products are VPMULUDQ's 32×32→64 products, as in the Mul
+// row; q1 < 2^15, so q1·bm needs two. divB reads only the divisor and
+// divA only the dividend, so VI computes rb, and IV rd(am), once per
+// call. Lanes with a zero divisor, and the zero-filled lanes of a
+// masked tail, compute ±inf or NaN in between (Go runs with the
+// floating-point exceptions masked); the final {nz} mask zeroes them.
+const (
+	divB    = "VCVTUQQ2PD.RU_SAE {bm}, {rb}; VDIVPD.RZ_SAE {rb}, {fone}, {rb}; VPSRLQ $32, {bm}, {hb}; VPTESTMQ {b}, {b}, {nz}"
+	divA    = "VCVTUQQ2PD.RD_SAE {am}, {fa}"
+	divCore = "VMULPD.RZ_SAE {rb}, {fa}, {q0}; VCVTTPD2UQQ {q0}, {q0}; " +
+		"VPMULUDQ {bm}, {q0}, {t}; VPSRLQ $32, {q0}, {u}; VPMULUDQ {bm}, {u}, {u}; VPMULUDQ {hb}, {q0}, {r}; " +
+		"VPADDQ {r}, {u}, {u}; VPSLLQ $32, {u}, {u}; VPADDQ {u}, {t}, {t}; VPSUBQ {t}, {am}, {r}; " +
+		"VCVTUQQ2PD.RD_SAE {r}, {q1}; VMULPD.RZ_SAE {rb}, {q1}, {q1}; VCVTTPD2UQQ {q1}, {q1}; " +
+		"VPMULUDQ {bm}, {q1}, {t}; VPMULUDQ {hb}, {q1}, {u}; VPSLLQ $32, {u}, {u}; VPADDQ {u}, {t}, {t}; VPSUBQ {t}, {r}, {r}; " +
+		"VPCMPUQ $5, {bm}, {r}, {k}; "
+	divQuot = "VPADDQ {q1}, {q0}, {q0}; VPADDQ {one}, {q0}, {k}, {q0}; "
+	divRem  = "VPSUBQ {bm}, {r}, {k}, {r}; "
+)
+
+// divide returns the row of a division or remainder opcode: evalOp's
+// quotient or remainder per lane, 0 where the divisor is 0, and for
+// DivS 0 for MinInt64 / −1. The signed ops divide the magnitudes
+// (VPABSQ maps MinInt64 to 2^63, its unsigned magnitude), then negate
+// the quotient where the operands' signs differ ({k}, from a ^ b) and
+// the remainder where a < 0 ({neg}). MinInt64 % −1 needs no special
+// lane: 2^63 mod 1 = 0.
+func divide(opName, name string, signed, rem bool) op {
+	perA, perB, body := divA, divB, divCore
+	am, bm := "{a}", "{b}"
+	if signed {
+		am, bm = "{s0}", "{s1}"
+		perA, perB = "VPABSQ {a}, {am}; "+perA, "VPABSQ {b}, {bm}; "+perB
+	}
+	switch {
+	case !signed && !rem:
+		body += divQuot + "VMOVDQA64.Z {q0}, {nz}, {d}"
+	case !signed && rem:
+		body += divRem + "VMOVDQA64.Z {r}, {nz}, {d}"
+	case !rem:
+		perB += "; VPCMPQ $0, {ones}, {b}, {bm1}"
+		body += divQuot + "VPXORQ {b}, {a}, {t}; VPMOVQ2M {t}, {k}; VPSUBQ {q0}, {zero}, {k}, {q0}; " +
+			"VPCMPQ $0, {min}, {a}, {bm1}, {ovf}; KANDNW {nz}, {ovf}, {ovf}; VMOVDQA64.Z {q0}, {ovf}, {d}"
+	default:
+		perA += "; VPMOVQ2M {a}, {neg}"
+		body += divRem + "VPSUBQ {r}, {zero}, {neg}, {r}; VMOVDQA64.Z {r}, {nz}, {d}"
+	}
+	// The fragment's names for its registers: b ≠ 0, b = −1, a < 0 and
+	// MinInt64 / −1 are opmasks.
+	rep := strings.NewReplacer("{am}", am, "{bm}", bm, "{rb}", "{s2}", "{hb}", "{s3}", "{fa}", "{s4}",
+		"{q0}", "{s5}", "{r}", "{s6}", "{q1}", "{s7}", "{nz}", "{k3}", "{bm1}", "{k4}", "{neg}", "{k5}", "{ovf}", "{k6}")
+	return op{op: opName, name: name, forms: vvVIIV, perA: rep.Replace(perA), perB: rep.Replace(perB), body: rep.Replace(body)}
+}
+
 // consts are the constants a body may name, with the register each is
 // loaded into. A broadcast constant is built from a general register;
 // {bswap} is a 64-byte table (bswapIdx, emitted once).
@@ -147,6 +218,8 @@ var consts = []struct {
 	{"{ones}", "Z22", "$-1"},
 	{"{zero}", "Z23", "$0"},
 	{"{bswap}", "Z24", ""},
+	{"{fone}", "Z25", "$0x3ff0000000000000"},
+	{"{min}", "Z26", "$0x8000000000000000"},
 }
 
 // Fixed registers of every kernel: DI the tape entry, AX the case
@@ -154,14 +227,59 @@ var consts = []struct {
 // dst/a/b columns advanced to c0, DX scratch, Z31 the broadcast
 // immediate, K1 the tail mask.
 const (
-	regA, regB, regD, regT, regU, regK, regImm = "Z0", "Z1", "Z2", "Z3", "Z4", "K2", "Z31"
+	regA, regB, regD, regImm = "Z0", "Z1", "Z2", "Z31"
 )
 
+// scratch maps the scratch placeholders to their registers.
+var scratch = []string{
+	"{t}", "Z3", "{u}", "Z4", "{s0}", "Z5", "{s1}", "Z6", "{s2}", "Z7", "{s3}", "Z8", "{s4}", "Z9", "{s5}", "Z10", "{s6}", "Z11", "{s7}", "Z12",
+	"{k}", "K2", "{k3}", "K3", "{k4}", "K4", "{k5}", "K5", "{k6}", "K6",
+}
+
+// instructions splits a body into its instructions.
+func instructions(body string) []string {
+	var lines []string
+	for _, s := range strings.Split(body, ";") {
+		if s = strings.TrimSpace(s); s != "" {
+			lines = append(lines, s)
+		}
+	}
+	return lines
+}
+
+// dst is the register an instruction writes: its last operand.
+func dst(ins string) string {
+	f := strings.Split(ins, ",")
+	return strings.TrimSpace(f[len(f)-1])
+}
+
+// checkHoist reports a row whose perA or perB could not run once per
+// call: one that reads the other operand, or whose result the rest of
+// the row overwrites.
+func checkHoist(o op) error {
+	for _, h := range []struct{ part, rest, other string }{
+		{o.perA, o.perB + ";" + o.body, "{b}"},
+		{o.perB, o.perA + ";" + o.body, "{a}"},
+	} {
+		if strings.Contains(h.part, h.other) {
+			return fmt.Errorf("%s: an operand-only part reads %s", o.op, h.other)
+		}
+		for _, hi := range instructions(h.part) {
+			for _, ri := range instructions(h.rest) {
+				if dst(hi) == dst(ri) {
+					return fmt.Errorf("%s: %q overwrites %s, which %q computes once per call", o.op, ri, dst(hi), hi)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // kernel writes one TEXT block: the skeleton of operand shape form
-// ("fill", "VV", "VI" or "IV") around body.
-func kernel(w *bytes.Buffer, fn, form, body string, unaryOp bool) {
+// ("fill", "VV", "VI" or "IV") around row o's instructions.
+func kernel(w *bytes.Buffer, fn, form string, o op) {
 	readA := form == "VV" || form == "VI"
-	readB := (form == "VV" && !unaryOp) || form == "IV"
+	readB := (form == "VV" && o.forms != unary) || form == "IV"
 	a, b, d := regA, regB, regD
 	switch form {
 	case "VI":
@@ -192,8 +310,9 @@ func kernel(w *bytes.Buffer, fn, form, body string, unaryOp bool) {
 	if form != "VV" {
 		ins("VPBROADCASTQ tapeEntry_imm(DI), %s", regImm)
 	}
+	all := o.perA + ";" + o.perB + ";" + o.body
 	for _, c := range consts {
-		if !strings.Contains(body, c.name) {
+		if !strings.Contains(all, c.name) {
 			continue
 		}
 		if c.val == "" {
@@ -203,16 +322,24 @@ func kernel(w *bytes.Buffer, fn, form, body string, unaryOp bool) {
 		ins("MOVQ %s, DX", c.val)
 		ins("VPBROADCASTQ DX, %s", c.reg)
 	}
-	r := []string{"{a}", a, "{b}", b, "{d}", d, "{t}", regT, "{u}", regU, "{k}", regK}
+	r := append([]string{"{a}", a, "{b}", b, "{d}", d}, scratch...)
 	for _, c := range consts {
 		r = append(r, c.name, c.reg)
 	}
 	rep := strings.NewReplacer(r...)
+	pre, loop := "", o.perA+";"+o.perB+";"+o.body
+	switch form {
+	case "VI":
+		pre, loop = o.perB, o.perA+";"+o.body
+	case "IV":
+		pre, loop = o.perA, o.perB+";"+o.body
+	}
+	for _, l := range instructions(pre) {
+		ins("%s", rep.Replace(l))
+	}
 	var lines []string
-	for _, s := range strings.Split(body, ";") {
-		if s = strings.TrimSpace(s); s != "" {
-			lines = append(lines, rep.Replace(s))
-		}
+	for _, l := range instructions(loop) {
+		lines = append(lines, rep.Replace(l))
 	}
 	step := func(mask string) {
 		load, store := "VMOVDQU64 ", "VMOVDQU64 "+d+", "
@@ -275,7 +402,7 @@ func generate() (asm, goSrc []byte, err error) {
 	g.WriteString("// The AVX-512 kernels of kernels_amd64.s, 8 cases per instruction.\n")
 	g.WriteString("// Each is its scalar twin's evalOp arm applied per lane.\n")
 	g.WriteString("func avxFill(t *tapeEntry, c0, c1 int)\n")
-	kernel(&s, "avxFill", "fill", "", false)
+	kernel(&s, "avxFill", "fill", op{})
 
 	tbl.WriteString("\n// avx512 is the vector fusion table: a row per prog.Op with the\n")
 	tbl.WriteString("// same forms as the scalar row. A zero row keeps the scalar kernels.\n")
@@ -294,6 +421,9 @@ func generate() (asm, goSrc []byte, err error) {
 			if _, ok := emitted[o.name]; ok {
 				return nil, nil, fmt.Errorf("%s: kernel name %s used twice", o.op, o.name)
 			}
+			if err := checkHoist(o); err != nil {
+				return nil, nil, err
+			}
 			emitted[o.name] = o.forms
 			for _, f := range strings.Fields(o.forms) {
 				form := f
@@ -302,7 +432,7 @@ func generate() (asm, goSrc []byte, err error) {
 				}
 				fn := "avx" + form + o.name
 				fmt.Fprintf(&g, "func %s(t *tapeEntry, c0, c1 int)\n", fn)
-				kernel(&s, fn, form, o.body, f == unary)
+				kernel(&s, fn, form, o)
 			}
 		}
 		var fields []string

@@ -61,7 +61,7 @@
 //     must take the zero Kernels row deliberately. A Kernels table of
 //     assembly functions (the AVX-512 table) must be total as well,
 //     with each row serving exactly its scalar row's forms; only the
-//     pseudo-ops and division and remainder may fall back to scalar.
+//     pseudo-ops may fall back to scalar.
 //     Tables are again classified by element signature and content,
 //     not variable name.
 //
@@ -742,11 +742,9 @@ func checkAbsintTables(ld *loader, tp *typedPkg, modPath string) ([]string, erro
 
 // vectorScalarOps are the opcodes whose vector-table rows may leave
 // forms nil and so fall back to the scalar kernels: the pseudo-ops,
-// which compile through the fill and copy kernels, and division and
-// remainder, because AVX-512 has no integer divide.
+// which compile through the fill and copy kernels.
 var vectorScalarOps = map[string]bool{
 	"OpInvalid": true, "OpInput": true, "OpConst": true,
-	"OpDivU": true, "OpRemU": true, "OpDivS": true, "OpRemS": true,
 }
 
 // checkPlanTable enforces check 6 on the plan compiler's kernel tables
@@ -810,7 +808,7 @@ func checkPlanTable(ld *loader, tp *typedPkg, modPath string) ([]string, error) 
 				switch {
 				case scalar[op][form] && !row[form] && !vectorScalarOps[op]:
 					findings = append(findings, fmt.Sprintf(
-						"internal/prog/plan: prog.%s has no vector %s kernel, so that form falls back to scalar; only the pseudo-ops and division and remainder may (see cmd/repolint check 6)",
+						"internal/prog/plan: prog.%s has no vector %s kernel, so that form falls back to scalar; only the pseudo-ops may (see cmd/repolint check 6)",
 						op, form))
 				case row[form] && !scalar[op][form]:
 					findings = append(findings, fmt.Sprintf(

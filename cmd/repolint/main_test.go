@@ -315,9 +315,10 @@ var _ = fusion
 // TestVectorTableTotality exercises check 6's vector-table rule on a
 // fake module: a scalar table of Go kernels and a vector table of
 // assembly kernels (functions declared without a body). The vector
-// table misses OpShl, leaves OpAdd's VI form nil, and gives OpSub an IV
-// kernel the scalar row lacks; each is reported. Its zero OpDivU and
-// OpInvalid rows fall back to scalar deliberately and are not.
+// table misses OpShl, leaves OpAdd's VI form nil, gives OpSub an IV
+// kernel the scalar row lacks, and leaves OpDivU's row zero; each is
+// reported, the zero row once per form. Its zero OpInvalid row, a
+// pseudo-op's, falls back to scalar deliberately and is not.
 func TestVectorTableTotality(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod":              "module fakemod\n\ngo 1.22\n",
@@ -383,16 +384,19 @@ var _ = avx
 		"prog.OpShl missing from the vector Kernels table",
 		"prog.OpAdd has no vector VI kernel, so that form falls back to scalar",
 		"prog.OpSub has a vector IV kernel but no scalar one",
+		"prog.OpDivU has no vector VV kernel, so that form falls back to scalar; only the pseudo-ops may",
+		"prog.OpDivU has no vector VI kernel",
+		"prog.OpDivU has no vector IV kernel",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if n != 3 {
-		t.Errorf("findings = %d, want 3\n%s", n, out)
+	if n != 6 {
+		t.Errorf("findings = %d, want 6\n%s", n, out)
 	}
-	if strings.Contains(out, "OpDivU") || strings.Contains(out, "OpInvalid") || strings.Contains(out, "fusion table") {
-		t.Errorf("deliberate scalar fallbacks or the complete scalar table wrongly flagged:\n%s", out)
+	if strings.Contains(out, "OpInvalid") || strings.Contains(out, "fusion table") {
+		t.Errorf("the deliberate pseudo-op fallback or the complete scalar table wrongly flagged:\n%s", out)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"weak"
 
 	"stochsyn/internal/prog"
+	"stochsyn/internal/prog/analysis/absint"
 	"stochsyn/internal/testcase"
 )
 
@@ -53,33 +54,59 @@ type cacheEntry struct {
 // collected.
 var recipeCache struct {
 	mu     sync.Mutex
-	suites map[weak.Pointer[testcase.Suite]]map[uint64][]cacheEntry
+	suites map[weak.Pointer[testcase.Suite]]*suiteEntry
 	shapes int // keys across all suites' shape maps
+}
+
+// suiteEntry is one suite's part of the cache: its shapes, and its
+// input facts with the case count they were joined over. The facts
+// are read-only once published and shared by every State on the suite;
+// a suite grown in place gets new facts, as it gets new recipes.
+type suiteEntry struct {
+	shapes map[uint64][]cacheEntry
+	facts  []absint.Value
+	cases  int
 }
 
 const recipeCacheMax = 4096
 
 // registerSuite returns s's cache handle, the weak pointer its shapes
-// are filed under, adding s to the cache if no State has registered it.
-func registerSuite(s *testcase.Suite) weak.Pointer[testcase.Suite] {
-	key := weak.Make(s)
+// are filed under, adding s to the cache if no State has registered it,
+// and s's input facts, computed only when no State has computed them
+// for s's current case count.
+func registerSuite(s *testcase.Suite) (weak.Pointer[testcase.Suite], []absint.Value) {
+	key, n := weak.Make(s), s.Len()
 	recipeCache.mu.Lock()
-	defer recipeCache.mu.Unlock()
-	if _, ok := recipeCache.suites[key]; !ok {
+	ent, ok := recipeCache.suites[key]
+	if !ok {
 		if recipeCache.suites == nil {
-			recipeCache.suites = make(map[weak.Pointer[testcase.Suite]]map[uint64][]cacheEntry)
+			recipeCache.suites = make(map[weak.Pointer[testcase.Suite]]*suiteEntry)
 		}
-		recipeCache.suites[key] = make(map[uint64][]cacheEntry)
+		ent = &suiteEntry{shapes: make(map[uint64][]cacheEntry)}
+		recipeCache.suites[key] = ent
 		runtime.AddCleanup(s, dropSuite, key)
 	}
-	return key
+	facts, cases := ent.facts, ent.cases
+	recipeCache.mu.Unlock()
+	if facts != nil && cases == n {
+		return key, facts
+	}
+	// Join outside the lock, like a compile: States racing here publish
+	// equal facts.
+	facts = absint.InputFacts(s)
+	recipeCache.mu.Lock()
+	ent.facts, ent.cases = facts, n
+	recipeCache.mu.Unlock()
+	return key, facts
 }
 
 // dropSuite removes a collected suite and its shapes from the cache.
 func dropSuite(key weak.Pointer[testcase.Suite]) {
 	recipeCache.mu.Lock()
-	recipeCache.shapes -= len(recipeCache.suites[key])
-	delete(recipeCache.suites, key)
+	if ent, ok := recipeCache.suites[key]; ok {
+		recipeCache.shapes -= len(ent.shapes)
+		delete(recipeCache.suites, key)
+	}
 	recipeCache.mu.Unlock()
 }
 
@@ -125,7 +152,7 @@ func sameShape(e *cacheEntry, p *prog.Program) bool {
 func lookupRecipe(e *State, p *prog.Program) (*recipe, bool) {
 	h := shapeHash(p)
 	recipeCache.mu.Lock()
-	shapes := recipeCache.suites[e.key]
+	shapes := recipeCache.suites[e.key].shapes
 	for i := range shapes[h] {
 		ent := &shapes[h][i]
 		if ent.cases == e.ncases && sameShape(ent, p) {
@@ -143,14 +170,14 @@ func lookupRecipe(e *State, p *prog.Program) (*recipe, bool) {
 
 	recipeCache.mu.Lock()
 	if recipeCache.shapes >= recipeCacheMax {
-		for k := range recipeCache.suites {
-			recipeCache.suites[k] = make(map[uint64][]cacheEntry)
+		for _, ent := range recipeCache.suites {
+			ent.shapes = make(map[uint64][]cacheEntry)
 		}
 		recipeCache.shapes = 0
 	}
 	// e holds its suite, so the suite's cleanup has not run and its
 	// shape map is present.
-	shapes = recipeCache.suites[e.key]
+	shapes = recipeCache.suites[e.key].shapes
 	if _, ok := shapes[h]; !ok {
 		recipeCache.shapes++
 	}

@@ -70,3 +70,28 @@ func TestCacheMissesGrownSuite(t *testing.T) {
 		t.Fatalf("root column on the appended case = %d, Output gives %d", got, want)
 	}
 }
+
+// TestGrownSuiteRefreshesInputFacts grows a suite in place between two
+// States, breaking a singleton input fact: y is 7 on every case until
+// the appended one. The second State must not reuse the first State's
+// input facts, or it folds y to the immediate 7 and computes the
+// appended case wrong.
+func TestGrownSuiteRefreshesInputFacts(t *testing.T) {
+	suite := &testcase.Suite{NumInputs: 2}
+	for i := uint64(0); i < 20; i++ {
+		suite.Cases = append(suite.Cases, testcase.Case{Inputs: []uint64{i * 0x0123456789abcdef, 7}})
+	}
+	p := prog.MustParse("xorq(x, y)", 2)
+	first := plan.New(suite)
+	first.Reset(p)
+	if first.PlanStats().FusedNodes == 0 {
+		t.Fatal("the singleton fact y = 7 did not fold: the test no longer covers stale facts")
+	}
+	in := []uint64{3, 5}
+	suite.Cases = append(suite.Cases, testcase.Case{Inputs: in, Output: p.Output(in)})
+	e := plan.New(suite)
+	e.Reset(p)
+	if got, want := e.RootColumn()[20], p.Output(in); got != want {
+		t.Fatalf("root column on the appended case = %#x, Output gives %#x", got, want)
+	}
+}

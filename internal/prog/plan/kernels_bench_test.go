@@ -8,10 +8,13 @@ import (
 	"stochsyn/internal/prog"
 )
 
-// BenchmarkKernels times one kernel per opcode family on each kernel set
-// (scalar, and the vector set where this build and CPU run it) over
-// whole columns of 16, 100 and 1000 cases, one call per column as a
-// tape block makes it, and reports ns/case.
+// BenchmarkKernels times one kernel per opcode family, and every
+// division shape, on each kernel set (scalar, and the vector set where
+// this build and CPU run it) over whole columns of 16, 100 and 1000
+// cases, one call per column as a tape block makes it, and reports
+// ns/case. Operands are random words shifted right by a random count,
+// so quotients of every size occur; the immediate is 13, or a
+// full-width dividend for the IV form.
 //
 //	go test ./internal/prog/plan -run '^$' -bench Kernels
 func BenchmarkKernels(b *testing.B) {
@@ -35,6 +38,11 @@ func BenchmarkKernels(b *testing.B) {
 		{"add32", prog.OpAdd32, "VV"},
 		{"shift32", prog.OpSar32, "VV"},
 		{"divide", prog.OpDivU, "VV"},
+		{"remainder", prog.OpRemU, "VV"},
+		{"sdivide", prog.OpDivS, "VV"},
+		{"sremainder", prog.OpRemS, "VV"},
+		{"divide-imm", prog.OpDivU, "VI"},
+		{"remainder-iv", prog.OpRemU, "IV"},
 		{"fill", prog.OpConst, ""},
 	}
 	rng := rand.New(rand.NewPCG(8, 13))
@@ -46,16 +54,19 @@ func BenchmarkKernels(b *testing.B) {
 				k = row.VV
 			case "VI":
 				k = row.VI
+			case "IV":
+				k = row.IV
 			default:
 				k = ks.fill
 			}
-			if k == nil {
-				continue // a scalar-only row: the scalar arm measures it
+			imm := uint64(13)
+			if f.form == "IV" {
+				imm = ^uint64(0) / 3
 			}
 			for _, n := range []int{16, 100, 1000} {
-				t := &tapeEntry{kern: k, dst: make([]uint64, n), a: make([]uint64, n), b: make([]uint64, n), imm: 13}
+				t := &tapeEntry{kern: k, dst: make([]uint64, n), a: make([]uint64, n), b: make([]uint64, n), imm: imm}
 				for c := 0; c < n; c++ {
-					t.a[c], t.b[c] = rng.Uint64(), rng.Uint64()|1
+					t.a[c], t.b[c] = rng.Uint64()>>rng.IntN(64), rng.Uint64()>>rng.IntN(64)|1
 				}
 				b.Run(fmt.Sprintf("%s/%s/n=%d", f.name, ks.name, n), func(b *testing.B) {
 					for b.Loop() {

@@ -93,8 +93,9 @@ type State struct {
 	cols [prog.MaxNodes][]uint64
 	prop [prog.MaxNodes][]uint64
 
-	// inFacts are the suite's input facts, computed once; facts is the
-	// Analyze scratch buffer reused across full compiles.
+	// inFacts are the suite's input facts, shared by every State on the
+	// suite through the recipe cache (read-only); facts is the Analyze
+	// scratch buffer reused across full compiles.
 	inFacts []absint.Value
 	facts   []absint.Value
 
@@ -150,7 +151,8 @@ type State struct {
 // input-node columns filled in. Call Reset to bind a program.
 func New(s *testcase.Suite) *State {
 	n := s.Len()
-	e := &State{suite: s, ncases: n, key: registerSuite(s), targets: make([]uint64, n)}
+	e := &State{suite: s, ncases: n, targets: make([]uint64, n)}
+	e.key, e.inFacts = registerSuite(s)
 	backing := make([]uint64, 2*prog.MaxNodes*n)
 	for i := 0; i < prog.MaxNodes; i++ {
 		e.cols[i] = backing[i*n : (i+1)*n : (i+1)*n]
@@ -165,7 +167,6 @@ func New(s *testcase.Suite) *State {
 	for c := range s.Cases {
 		e.targets[c] = s.Cases[c].Output
 	}
-	e.inFacts = absint.InputFacts(s)
 	return e
 }
 

@@ -70,7 +70,9 @@ func kernelSets(t testing.TB) []kernelSetCase {
 // a sentinel that must survive. Operand columns mix random words with
 // boundary values (shift and rotate counts around 31/32/63/64,
 // MinInt64 over a -1 divisor) in both column and immediate positions.
+// The division kernels also run on every pair of edge values.
 func TestKernelsMatchEvalOp(t *testing.T) {
+	t.Run("division edge product", testDivEdgeProduct)
 	const maxLen, pad = 33, 8
 	const sentinel = 0xdeadbeefdeadbeef
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -145,17 +147,85 @@ func TestKernelsMatchEvalOp(t *testing.T) {
 	}
 }
 
+// divOps are the division and remainder opcodes.
+var divOps = []prog.Op{prog.OpDivU, prog.OpRemU, prog.OpDivS, prog.OpRemS}
+
+// edgeWords returns the operands where division is easiest to get
+// wrong: ±2^k and ±2^k±1 for every k (2^53±1, MinInt64 and 2^63+1
+// among them), and 0 to 10.
+func edgeWords() []uint64 {
+	seen := map[uint64]bool{}
+	var w []uint64
+	add := func(v uint64) {
+		if !seen[v] {
+			seen[v] = true
+			w = append(w, v)
+		}
+	}
+	for v := uint64(0); v <= 10; v++ {
+		add(v)
+	}
+	for k := 0; k < 64; k++ {
+		for _, v := range []uint64{1 << k, 1<<k + 1, 1<<k - 1} {
+			add(v)
+			add(-v)
+		}
+	}
+	return w
+}
+
+// testDivEdgeProduct pins every division and remainder kernel of both
+// tables to EvalOp on the cross product of edgeWords: VV on every pair,
+// VI and IV on every pair with the immediate taken from the set, each
+// kernel called once over whole columns, plus VV on random pairs whose
+// magnitudes vary, so quotients of every size occur.
+func testDivEdgeProduct(t *testing.T) {
+	edges := edgeWords()
+	m := len(edges)
+	rng := rand.New(rand.NewPCG(5, 8))
+	const nrand = 1 << 16
+	a, b := make([]uint64, m*m+nrand), make([]uint64, m*m+nrand)
+	for i := 0; i < m*m; i++ {
+		a[i], b[i] = edges[i/m], edges[i%m]
+	}
+	for i := m * m; i < len(a); i++ {
+		a[i], b[i] = rng.Uint64()>>rng.IntN(64), rng.Uint64()>>rng.IntN(64)
+	}
+	dst := make([]uint64, len(a))
+	run := func(set, what string, k kernel, av, bv []uint64, imm uint64, n int, want func(c int) uint64) {
+		t.Helper()
+		e := &tapeEntry{kern: k, dst: dst[:n], a: av, b: bv, imm: imm}
+		e.kern(e, 0, n)
+		for c := 0; c < n; c++ {
+			if w := want(c); dst[c] != w {
+				t.Fatalf("%s %s case %d: kernel %#x, want %#x", set, what, c, dst[c], w)
+			}
+		}
+	}
+	for _, ks := range kernelSets(t) {
+		for _, op := range divOps {
+			row := &ks.table[op]
+			run(ks.name, op.String()+" VV", row.VV, a, b, 0, len(a),
+				func(c int) uint64 { return prog.EvalOp(op, a[c], b[c]) })
+			for _, imm := range edges {
+				run(ks.name, fmt.Sprintf("%v VI imm=%#x", op, imm), row.VI, edges, nil, imm, m,
+					func(c int) uint64 { return prog.EvalOp(op, edges[c], imm) })
+				run(ks.name, fmt.Sprintf("%v IV imm=%#x", op, imm), row.IV, nil, edges, imm, m,
+					func(c int) uint64 { return prog.EvalOp(op, imm, edges[c]) })
+			}
+		}
+	}
+}
+
 // TestKernelTables checks the shape of both tables: every instruction
 // opcode has a scalar VV kernel, unary opcodes have no immediate forms,
-// and a vector row has exactly its scalar row's forms, except that the
-// division and remainder rows (AVX-512 has no integer divide) are zero
-// and keep the scalar kernels.
+// a vector row has exactly its scalar row's forms, and only the
+// pseudo-ops have zero rows.
 func TestKernelTables(t *testing.T) {
-	scalarOnly := map[prog.Op]bool{prog.OpDivU: true, prog.OpRemU: true, prog.OpDivS: true, prog.OpRemS: true}
 	for _, ks := range kernelSets(t) {
 		for op := prog.Op(0); op < prog.Op(prog.NumOps); op++ {
 			row := &ks.table[op]
-			if op <= prog.OpConst || ks.table != &scalar && scalarOnly[op] {
+			if op <= prog.OpConst {
 				if row.VV != nil || row.VI != nil || row.IV != nil {
 					t.Errorf("%s %v: want a zero row", ks.name, op)
 				}

@@ -364,19 +364,22 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 		})
 		return j, nil
 	}
-	select {
-	case s.queue <- j:
-		s.registerLocked(j)
-		s.mu.Unlock()
-		j.tracer.Emit("job_submitted", map[string]any{"id": j.id})
-		return j, nil
-	default:
+	if len(s.queue) == cap(s.queue) {
 		delete(s.flights, key)
 		s.mu.Unlock()
 		s.metrics.rejected.Inc()
 		j.cancel()
 		return nil, &httpError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("job queue full (depth %d)", s.cfg.QueueDepth)}
 	}
+	s.registerLocked(j)
+	// Logged before the job is queued: a worker may run a queued job to
+	// completion before this goroutine runs again, and job_finished must
+	// stay the job's last event. The send cannot block, because every
+	// send on the queue holds s.mu and the queue has room.
+	j.tracer.Emit("job_submitted", map[string]any{"id": j.id})
+	s.queue <- j
+	s.mu.Unlock()
+	return j, nil
 }
 
 // JobTraceCap is the ring capacity of each job's trace fork: enough
