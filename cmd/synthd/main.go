@@ -13,20 +13,11 @@
 //
 //	synthd -addr :8730 -fleet http://10.0.0.1:8731,http://10.0.0.2:8731
 //
-// The coordinator serves the same /v1 API, so synth -remote and the
-// Go client work against either topology unchanged.
-//
-// Endpoints:
-//
-//	POST   /v1/jobs      submit a job (problem + options + budget)
-//	GET    /v1/jobs      list jobs (?status= filters)
-//	GET    /v1/jobs/{id} poll a job
-//	DELETE /v1/jobs/{id} cancel a job
-//	GET    /healthz      liveness probe
-//	GET    /statsz       queue/cache/worker snapshot
-//	GET    /metrics      Prometheus text exposition
-//	GET    /tracez       recent trace events as JSONL
-//	GET    /debug/pprof/ runtime profiles
+// Both topologies serve one HTTP front end, server.Frontend, whose doc
+// lists the endpoints: the /v1 job API (submit, list, poll, event
+// stream, cancel), /healthz, /statsz, /metrics, /tracez and
+// /debug/pprof. synth -remote and the Go client work against either
+// topology unchanged.
 //
 // -trace FILE additionally tees every trace event to FILE as JSONL as
 // it happens (the /tracez ring only keeps the most recent events).

@@ -7,14 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// replayOnce serves t's event stream for one request with the given
-// Last-Event-ID and returns the body. The request's context is already
+// replayOnce serves t's event stream for one request resuming after
+// the given Seq and returns the body. The request's context is already
 // cancelled, so ServeEventStream writes its replay and returns instead
 // of following the live feed.
 func replayOnce(t *testing.T, tr *Tracer, after uint64) string {
@@ -22,11 +21,8 @@ func replayOnce(t *testing.T, tr *Tracer, after uint64) string {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodGet, "/events", nil).WithContext(ctx)
-	if after > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(after, 10))
-	}
 	rec := httptest.NewRecorder()
-	ServeEventStream(rec, req, tr, "fin")
+	ServeEventStream(rec, req, tr, after, "fin")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("replay after %d: status %d", after, rec.Code)
 	}
@@ -157,7 +153,7 @@ func TestSealRacesServeEventStream(t *testing.T) {
 	emitJobLike(tr, 30)
 	want := replayOnce(t, tr, 0)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ServeEventStream(w, r, tr, "fin")
+		ServeEventStream(w, r, tr, 0, "fin")
 	}))
 	defer srv.Close()
 

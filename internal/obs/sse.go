@@ -20,32 +20,24 @@ const DefaultSubscriberBuf = 256
 // (text/event-stream): each event is written as an `id:` line (the
 // tracer Seq), an `event:` line (the event name), and a `data:` line
 // (the Event as JSON). The stream starts with a replay of the ring
-// buffer — resumable: a `Last-Event-ID` request header (a Seq) skips
-// everything at or before it, so a reconnecting client sees no
-// duplicates — then follows the live feed. It ends when an event
-// named terminal is sent (after sending it), when the client
-// disconnects, or when the subscription is closed; the subscription
-// is always released on return. A malformed Last-Event-ID is a 400.
+// buffer — resumable: every event at or before the Seq after is
+// skipped, so a reconnecting client that sends the last id it saw
+// (its Last-Event-ID, which the caller parses) sees no duplicates —
+// then follows the live feed. It ends when an event named terminal is
+// sent (after sending it), when the client disconnects, or when the
+// subscription is closed; the subscription is always released on
+// return.
 //
 // A sealed tracer (Seal) replays its sealed log instead of the ring:
-// the frames after Last-Event-ID go out in one burst, and the stream
-// ends after the terminal frame. The frames are the ones the live
-// stream wrote, so every reader gets the same bytes whether the
-// tracer was sealed in between or not.
+// the frames past the resume point go out in one burst, and the
+// stream ends after the terminal frame. The frames are the ones the live stream
+// wrote, so every reader gets the same bytes whether the tracer was
+// sealed in between or not.
 //
 // Events the ring has already overwritten at replay time are gone
 // (Seq gaps tell the client); events the live buffer cannot absorb
 // are dropped, never blocking the emitter (the tracer counts them).
-func ServeEventStream(w http.ResponseWriter, r *http.Request, t *Tracer, terminal string) {
-	var after uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "events: malformed Last-Event-ID: want a sequence number", http.StatusBadRequest)
-			return
-		}
-		after = n
-	}
+func ServeEventStream(w http.ResponseWriter, r *http.Request, t *Tracer, after uint64, terminal string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "events: streaming unsupported", http.StatusInternalServerError)

@@ -15,6 +15,7 @@ package restart
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"stochsyn/internal/obs"
 	"stochsyn/internal/search"
@@ -218,16 +219,7 @@ func NewExponential(t0 int64, z float64) *Sequential {
 	}
 	return &Sequential{
 		StrategyName: fmt.Sprintf("exp(z=%g)", z),
-		Cutoff: func(i int) int64 {
-			c := float64(t0)
-			for k := 1; k < i; k++ {
-				c *= z
-				if c > 1e18 {
-					break
-				}
-			}
-			return int64(c)
-		},
+		Cutoff:       func(i int) int64 { return geometricCutoff(t0, z, i-1) },
 	}
 }
 
@@ -239,18 +231,27 @@ func NewInnerOuter(t0 int64, z float64) *Sequential {
 	}
 	return &Sequential{
 		StrategyName: fmt.Sprintf("innerouter(z=%g)", z),
-		Cutoff: func(i int) int64 {
-			k := innerOuterK(i)
-			c := float64(t0)
-			for j := 0; j < k; j++ {
-				c *= z
-				if c > 1e18 {
-					break
-				}
-			}
-			return int64(c)
-		},
+		Cutoff:       func(i int) int64 { return geometricCutoff(t0, z, innerOuterK(i)) },
 	}
+}
+
+// geometricCutoff returns t0 * z^k, grown in float64 and no further
+// once it passes 1e18. The last factor can carry it past 2^63, where a
+// conversion to int64 is undefined (MinInt64 on amd64), so the result
+// saturates at math.MaxInt64; every smaller cutoff is the plain
+// conversion.
+func geometricCutoff(t0 int64, z float64, k int) int64 {
+	c := float64(t0)
+	for j := 0; j < k; j++ {
+		c *= z
+		if c > 1e18 {
+			break
+		}
+	}
+	if c >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(c)
 }
 
 // innerOuterK maps the 1-based search index to the exponent sequence

@@ -164,6 +164,12 @@ func TestExponential(t *testing.T) {
 	if res.Searches != 4 || res.Iterations != 150 {
 		t.Errorf("exp: %+v", res)
 	}
+	// z = 1e19: the second cutoff, 1e19, is past MaxInt64; it saturates
+	// and takes the rest of the budget.
+	res = NewExponential(1, 1e19).Run(fixedFactory(-1), 150)
+	if res.Searches != 2 || res.Iterations != 150 {
+		t.Errorf("exp(z=1e19): %+v", res)
+	}
 }
 
 func TestInnerOuterK(t *testing.T) {
@@ -180,6 +186,11 @@ func TestInnerOuterStrategy(t *testing.T) {
 	// Cutoffs 10, 20, 10, 20, 40: 100 consumed in 5 searches.
 	if res.Searches != 5 || res.Iterations != 100 {
 		t.Errorf("innerouter: %+v", res)
+	}
+	// z = 1e19: the second cutoff saturates at MaxInt64, as for exp.
+	res = NewInnerOuter(1, 1e19).Run(fixedFactory(-1), 100)
+	if res.Searches != 2 || res.Iterations != 100 {
+		t.Errorf("innerouter(z=1e19): %+v", res)
 	}
 }
 

@@ -22,11 +22,11 @@ import (
 // costs one timeout, not a hung federation scrape.
 const scrapeTimeout = 2 * time.Second
 
-// handleMetrics serves the federated exposition. Worker scrapes run
+// federate serves the federated exposition. Worker scrapes run
 // concurrently; a failed scrape degrades to a comment line naming the
 // worker, never a failed response (the coordinator's own series must
 // stay scrapeable while shards are down).
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (co *Coordinator) federate(w http.ResponseWriter, r *http.Request) {
 	var own strings.Builder
 	_ = co.obs.Reg.WriteProm(&own)
 

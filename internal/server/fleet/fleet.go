@@ -1,10 +1,10 @@
-// Package fleet implements synthd's coordinator mode: an HTTP front
-// end that speaks the same /v1 job API as a single synthd
-// (internal/server) but owns no scheduler of its own. Submissions are
-// sharded over a static set of worker synthd instances by rendezvous
-// hashing of the canonical cache key (see hrw.go), forwarded through
-// the standard Go client, and tracked so polls, cancels, and worker
-// failures route to the right place.
+// Package fleet implements synthd's coordinator mode: a
+// server.Backend that serves the same /v1 job API as a single synthd,
+// through the same server.Frontend, but owns no scheduler of its own.
+// Submissions are sharded over a static set of worker synthd instances
+// by rendezvous hashing of the canonical cache key (see hrw.go),
+// forwarded through the standard Go client, and tracked so polls,
+// cancels, and worker failures route to the right place.
 //
 // Robustness model:
 //
@@ -31,12 +31,10 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -292,7 +290,7 @@ func (co *Coordinator) forward(ctx context.Context, sub *submission, parentID st
 	}
 	if len(candidates) == 0 {
 		span.End(map[string]any{"error": "no workers available"})
-		return nil, nil, &fleetError{code: http.StatusServiceUnavailable, retryAfter: 1, msg: "no workers available"}
+		return nil, nil, &server.Error{Code: http.StatusServiceUnavailable, Msg: "no workers available"}
 	}
 
 	sawBusy := false
@@ -341,82 +339,37 @@ func (co *Coordinator) forward(ctx context.Context, sub *submission, parentID st
 		msg = "all workers are at capacity"
 	}
 	span.End(map[string]any{"error": msg})
-	return nil, nil, &fleetError{code: http.StatusServiceUnavailable, retryAfter: 1, msg: msg}
+	return nil, nil, &server.Error{Code: http.StatusServiceUnavailable, Msg: msg}
 }
 
-// view rewrites a worker-local JobView into the coordinator's wire
-// form: the coordinator id replaces the worker-local one, and the
-// shard is named. Callers hold sub.mu.
-func (sub *submission) view(v server.JobView) server.JobView {
-	v.ID = sub.id
-	if sub.worker != nil {
-		v.Worker = sub.worker.name
-	}
-	return v
-}
-
-// record stores the latest view. Callers hold sub.mu.
+// record stores the latest view in the coordinator's wire form, and
+// returns it: the coordinator id replaces the worker-local one, and
+// the shard is named. Callers hold sub.mu.
 func (sub *submission) record(v server.JobView) server.JobView {
-	v = sub.view(v)
+	v.ID = sub.id
+	v.Worker = sub.worker.name
 	sub.last = v
 	sub.terminal = v.Status.Terminal()
 	return v
 }
 
-// Handler returns the coordinator's HTTP API — the same surface a
-// single synthd serves, so clients (synth -remote, the Go client) are
-// oblivious to the topology:
-//
-//	POST   /v1/jobs             validate, shard by canonical key, forward
-//	GET    /v1/jobs             merged list of forwarded jobs
-//	GET    /v1/jobs/{id}        poll (re-dispatching off dead workers)
-//	GET    /v1/jobs/{id}/events live telemetry stream (SSE), relayed from
-//	                            the owning worker and surviving redispatch
-//	DELETE /v1/jobs/{id}        cancel on the owning worker
-//	GET    /healthz             coordinator liveness + healthy worker count
-//	GET    /statsz              fleet snapshot (per-worker health/forwards,
-//	                            rolled-up worker stats)
-//	GET    /metrics             federated Prometheus exposition: the
-//	                            coordinator's own series plus every
-//	                            reachable worker's, labeled worker="wN"
-//	GET    /tracez              recent trace events as JSONL
-//	GET    /debug/pprof/        runtime profiles
-func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", co.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", co.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", co.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", co.handleEvents)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", co.handleCancel)
-	mux.HandleFunc("GET /healthz", co.handleHealthz)
-	mux.HandleFunc("GET /statsz", co.handleStatsz)
-	mux.HandleFunc("GET /metrics", co.handleMetrics)
-	mux.Handle("GET /tracez", co.obs.Tracer.Handler())
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	return mux
-}
+// Handler returns the coordinator's HTTP API: the server.Frontend over
+// co, the surface a single synthd serves, so clients (synth -remote,
+// the Go client) are oblivious to the topology.
+func (co *Coordinator) Handler() http.Handler { return server.Frontend(co, co.obs) }
 
-func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := server.DecodeSpec(w, r)
-	if err != nil {
-		writeError(w, server.ErrorStatus(err), err.Error())
-		return
-	}
+// Submit implements server.Backend: it validates the spec, derives its
+// shard key, and forwards it down the key's rendezvous order.
+func (co *Coordinator) Submit(ctx context.Context, spec server.JobSpec, parent obs.SpanContext) (server.JobView, error) {
 	// Validate here and compute the shard key; a spec the workers
 	// would reject never leaves the coordinator.
 	problem, opts, err := spec.Build()
 	if err != nil {
-		writeError(w, server.ErrorStatus(err), err.Error())
-		return
+		return server.JobView{}, err
 	}
 	key, err := server.CanonicalCacheKey(problem, opts)
 	if err != nil {
-		writeError(w, server.ErrorStatus(err), err.Error())
-		return
+		return server.JobView{}, err
 	}
 	// Expr-based submissions shard by their rewrite-equivalence key
 	// instead: rewrite-equivalent references then land on the same
@@ -431,11 +384,10 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The submission record — id, trace fork, submit span — exists
 	// before the first forward attempt, so the forward/failover walk is
-	// already traced under the submit span. A submitter's Traceparent
-	// header parents the whole fleet-side trace under its span; without
-	// one the submission roots a fresh trace. On forward failure the
-	// record is discarded (its id is burned, never registered).
-	parent, _ := obs.ParseTraceParent(r.Header.Get("Traceparent"))
+	// already traced under the submit span. A submitter's span parents
+	// the whole fleet-side trace; without one the submission roots a
+	// fresh trace. On forward failure the record is discarded (its id
+	// is burned, never registered).
 	co.mu.Lock()
 	co.nextID++
 	id := fmt.Sprintf("c%06d", co.nextID)
@@ -453,10 +405,9 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tracer:  co.obs.Trace().Fork(SubTraceCap, sc, parent.SpanID, map[string]any{"job": id}),
 	}
 
-	worker, v, err := co.forward(r.Context(), sub, sc.SpanID, nil)
+	worker, v, err := co.forward(ctx, sub, sc.SpanID, nil)
 	if err != nil {
-		writeFleetError(w, err)
-		return
+		return server.JobView{}, apiError(err)
 	}
 
 	sub.worker = worker
@@ -467,13 +418,24 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	co.mu.Unlock()
 
 	sub.mu.Lock()
-	out := sub.record(*v)
-	sub.mu.Unlock()
-	code := http.StatusAccepted
-	if out.Status.Terminal() {
-		code = http.StatusOK // served from the worker's cache
+	defer sub.mu.Unlock()
+	return sub.record(*v), nil
+}
+
+// apiError gives a failed worker call the answer the front end sends:
+// a worker's API error passes through with its own status and message,
+// the coordinator's own *server.Error keeps its status, and anything
+// else (the worker unreachable, the request gone) is a 502.
+func apiError(err error) error {
+	var se *server.Error
+	var ae *client.APIError
+	switch {
+	case errors.As(err, &se):
+		return err
+	case errors.As(err, &ae):
+		return &server.Error{Code: ae.StatusCode, Msg: ae.Message}
 	}
-	writeJSON(w, code, out)
+	return &server.Error{Code: http.StatusBadGateway, Msg: err.Error()}
 }
 
 // refresh polls the submission's worker for a fresh view,
@@ -519,49 +481,48 @@ func (co *Coordinator) refresh(ctx context.Context, sub *submission) (server.Job
 	return sub.record(*v), nil
 }
 
-func (co *Coordinator) lookup(id string) *submission {
+// lookup returns the submission with the given id, or
+// server.ErrNoSuchJob.
+func (co *Coordinator) lookup(id string) (*submission, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.subs[id]
+	if sub := co.subs[id]; sub != nil {
+		return sub, nil
+	}
+	return nil, server.ErrNoSuchJob
 }
 
-func (co *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
-	sub := co.lookup(r.PathValue("id"))
-	if sub == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	v, err := co.refresh(r.Context(), sub)
+// Job implements server.Backend: a poll of the owning worker, which
+// re-dispatches the job when that worker is gone (refresh).
+func (co *Coordinator) Job(ctx context.Context, id string) (server.JobView, error) {
+	sub, err := co.lookup(id)
 	if err != nil {
-		writeFleetError(w, err)
-		return
+		return server.JobView{}, err
 	}
-	writeJSON(w, http.StatusOK, v)
+	v, err := co.refresh(ctx, sub)
+	if err != nil {
+		return server.JobView{}, apiError(err)
+	}
+	return v, nil
 }
 
-// handleEvents serves the coordinator-side live telemetry stream for a
-// submission. The stream is backed by the submission's own tracer, fed
+// Events implements server.Backend: the submission's own tracer, fed
 // by a relay goroutine that mirrors the owning worker's event stream —
 // so a client streaming through the coordinator survives a mid-run
 // worker death: the relay notices the torn stream, re-dispatches, and
-// re-attaches to the replacement worker under the same trace id.
-func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sub := co.lookup(r.PathValue("id"))
-	if sub == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+// re-attaches to the replacement worker under the same trace id. The
+// relay starts once, lazily: submissions nobody watches cost no extra
+// connection.
+func (co *Coordinator) Events(id string) (*obs.Tracer, error) {
+	sub, err := co.lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	co.ensureRelay(sub)
-	obs.ServeEventStream(w, r, sub.tracer, "job_finished")
-}
-
-// ensureRelay starts the submission's worker-stream relay exactly
-// once, lazily: submissions nobody watches cost no extra connection.
-func (co *Coordinator) ensureRelay(sub *submission) {
 	sub.relay.Do(func() {
 		co.wg.Add(1)
 		go co.relayLoop(sub)
 	})
+	return sub.tracer, nil
 }
 
 // relayLoop mirrors the owning worker's event stream into the
@@ -662,57 +623,44 @@ func (co *Coordinator) relayLoop(sub *submission) {
 	}
 }
 
-func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	sub := co.lookup(r.PathValue("id"))
-	if sub == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+// Cancel implements server.Backend: the cancel goes to the owning
+// worker; a worker that is gone took the job with it.
+func (co *Coordinator) Cancel(ctx context.Context, id string) (server.JobView, error) {
+	sub, err := co.lookup(id)
+	if err != nil {
+		return server.JobView{}, err
 	}
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.terminal {
-		writeJSON(w, http.StatusOK, sub.last)
-		return
+		return sub.last, nil
 	}
-	v, err := sub.worker.client.Cancel(r.Context(), sub.remoteID)
-	if err != nil {
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.StatusCode != http.StatusNotFound {
-			writeError(w, ae.StatusCode, ae.Message)
-			return
-		}
-		// The worker is gone, and with it the job: honor the cancel
-		// locally instead of resurrecting the search elsewhere.
-		sub.worker.setHealthy(false)
-		now := time.Now()
-		out := sub.record(server.JobView{
-			Status: server.StatusCancelled, CreatedAt: sub.created, FinishedAt: &now,
-		})
-		writeJSON(w, http.StatusOK, out)
-		return
+	v, err := sub.worker.client.Cancel(ctx, sub.remoteID)
+	if err == nil {
+		return sub.record(*v), nil
 	}
-	writeJSON(w, http.StatusOK, sub.record(*v))
+	var ae *client.APIError
+	if errors.As(err, &ae) && ae.StatusCode != http.StatusNotFound {
+		return server.JobView{}, apiError(err)
+	}
+	// The worker is gone, and with it the job: honor the cancel
+	// locally instead of resurrecting the search elsewhere.
+	sub.worker.setHealthy(false)
+	now := time.Now()
+	return sub.record(server.JobView{
+		Status: server.StatusCancelled, CreatedAt: sub.created, FinishedAt: &now,
+	}), nil
 }
 
-func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	filter := server.Status(r.URL.Query().Get("status"))
-	if filter != "" && !filter.Known() {
-		known := server.KnownStatuses()
-		names := make([]string, len(known))
-		for i, st := range known {
-			names[i] = string(st)
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"unknown status %q (want one of %s)", filter, strings.Join(names, ", ")))
-		return
-	}
+// Jobs implements server.Backend: every submission refreshed from its
+// worker, or its last known view when the worker cannot say.
+func (co *Coordinator) Jobs(ctx context.Context) []server.JobView {
 	co.mu.Lock()
-	subs := make([]*submission, len(co.order))
-	copy(subs, co.order)
+	subs := slices.Clone(co.order)
 	co.mu.Unlock()
-	views := make([]server.JobView, 0, len(subs))
-	for _, sub := range subs {
-		v, err := co.refresh(r.Context(), sub)
+	views := make([]server.JobView, len(subs))
+	for i, sub := range subs {
+		v, err := co.refresh(ctx, sub)
 		if err != nil {
 			// Unreachable job: report the last thing we knew rather
 			// than failing the whole listing.
@@ -720,25 +668,29 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 			v = sub.last
 			sub.mu.Unlock()
 		}
-		if filter != "" && v.Status != filter {
-			continue
-		}
-		views = append(views, v)
+		views[i] = v
 	}
-	writeJSON(w, http.StatusOK, views)
+	return views
 }
 
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// Health implements server.Backend: liveness, with the count of
+// workers whose last probe succeeded.
+func (co *Coordinator) Health() any {
 	healthy := 0
-	for _, wr := range co.workers {
-		if wr.isHealthy() {
+	for _, w := range co.workers {
+		if w.isHealthy() {
 			healthy++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok", "workers": len(co.workers), "healthy_workers": healthy,
-	})
+	return map[string]any{"status": "ok", "workers": len(co.workers), "healthy_workers": healthy}
 }
+
+// Stats implements server.Backend: SnapshotFleet.
+func (co *Coordinator) Stats(ctx context.Context) any { return co.SnapshotFleet(ctx) }
+
+// Metrics implements server.Backend: the federated exposition
+// (federate.go).
+func (co *Coordinator) Metrics() http.Handler { return http.HandlerFunc(co.federate) }
 
 // Stats is the coordinator's /statsz snapshot.
 type Stats struct {
@@ -854,50 +806,4 @@ func (co *Coordinator) SnapshotFleet(ctx context.Context) Stats {
 		ft.PoolBusy += ws.Workers.Busy
 	}
 	return st
-}
-
-func (co *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, co.SnapshotFleet(r.Context()))
-}
-
-// fleetError is a coordinator-detected failure with an HTTP status
-// and an optional Retry-After hint.
-type fleetError struct {
-	code       int
-	retryAfter int
-	msg        string
-}
-
-func (e *fleetError) Error() string { return e.msg }
-
-func writeFleetError(w http.ResponseWriter, err error) {
-	var fe *fleetError
-	if errors.As(err, &fe) {
-		if fe.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(fe.retryAfter))
-		}
-		writeError(w, fe.code, fe.msg)
-		return
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		if ae.StatusCode == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, ae.StatusCode, ae.Message)
-		return
-	}
-	writeError(w, http.StatusBadGateway, err.Error())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, server.APIError{Error: msg})
 }

@@ -304,6 +304,18 @@ func TestFleetMetricsFederation(t *testing.T) {
 			t.Errorf("federated /metrics missing %q", want)
 		}
 	}
+	// The coordinator's own routes are instrumented: its submit shows
+	// up in a request series of its own, with no worker label.
+	own := false
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "stochsyn_http_requests_total{") &&
+			strings.Contains(line, `route="/v1/jobs"`) && !strings.Contains(line, "worker=") {
+			own = true
+		}
+	}
+	if !own {
+		t.Error(`federated /metrics has no unlabeled stochsyn_http_requests_total{route="/v1/jobs"} series of the coordinator's own`)
+	}
 	// One completed job somewhere in the fleet: exactly one of the two
 	// labeled submitted counters reads 1.
 	if !strings.Contains(body, "stochsyn_jobs_submitted_total{worker=\"w0\"} 1") &&

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"stochsyn"
 	"stochsyn/internal/server"
 	"stochsyn/internal/server/client"
 	"stochsyn/internal/server/fleet"
@@ -103,11 +105,12 @@ func waitRunning(t *testing.T, c *client.Client, id string) *server.JobView {
 	}
 }
 
-// TestFleetDeterminism is the ISSUE's acceptance e2e: a job submitted
-// through the coordinator returns a bit-identical Result (program,
-// iterations, searches, seed) to the same spec run against a single
-// local synthd — the schedule-deterministic tree executor makes
-// placement invisible.
+// TestFleetDeterminism checks that placement is invisible: a job
+// submitted through the coordinator, the same spec run against a
+// single local synthd, and the same spec built and synthesized by the
+// library in process return bit-identical results (solved, program,
+// iterations, searches, seed, canonical hash) — the schedule-
+// deterministic tree executor makes the topology invisible.
 func TestFleetDeterminism(t *testing.T) {
 	ctx := context.Background()
 	w0 := newWorker(t, server.Config{Workers: 2, WorkerBudget: 4})
@@ -161,9 +164,23 @@ func TestFleetDeterminism(t *testing.T) {
 		if fr == nil || lr == nil {
 			t.Fatalf("seed %d: missing result: fleet %+v local %+v", seed, fr, lr)
 		}
-		if fr.Program != lr.Program || fr.Iterations != lr.Iterations ||
-			fr.Searches != lr.Searches || fr.Seed != lr.Seed || fr.Solved != lr.Solved {
-			t.Errorf("seed %d: fleet result differs from local:\nfleet: %+v\nlocal: %+v", seed, fr, lr)
+		problem, opts, err := easySpec(seed).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := stochsyn.SynthesizeContext(ctx, problem, opts)
+		if err != nil {
+			t.Fatalf("seed %d: library: %v", seed, err)
+		}
+		lib := server.ResultView{
+			Solved: res.Solved, Program: res.Program, Iterations: res.Iterations,
+			Searches: res.Searches, Seed: res.Seed, CanonicalHash: fmt.Sprintf("%016x", res.CanonicalHash),
+		}
+		for name, r := range map[string]*server.ResultView{"fleet": fr, "local": lr} {
+			if r.Solved != lib.Solved || r.Program != lib.Program || r.Iterations != lib.Iterations ||
+				r.Searches != lib.Searches || r.Seed != lib.Seed || r.CanonicalHash != lib.CanonicalHash {
+				t.Errorf("seed %d: %s result differs from the library's:\n%s: %+v\nlibrary: %+v", seed, name, name, r, lib)
+			}
 		}
 	}
 
@@ -352,16 +369,6 @@ func TestFleetBadSpec(t *testing.T) {
 	if forwards != 0 {
 		t.Errorf("bad spec consumed %d forwards", forwards)
 	}
-
-	// Unknown ?status= filters are a 400 at the coordinator too.
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs?status=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("coordinator ?status=bogus = %d, want 400", resp.StatusCode)
-	}
 }
 
 // TestFleetEqSatCacheHit checks that rewrite-equivalence caching works
@@ -422,41 +429,93 @@ func TestFleetEqSatCacheHit(t *testing.T) {
 	}
 }
 
-// TestSubmitBodyLimits sends the same bad submissions to a synthd and
-// to a coordinator in front of it: a body over server.MaxSpecBytes
-// must get 413 with an error naming the limit, a malformed body — bad
-// JSON, an unknown field (the retired eqsat and prune options among
-// them), or anything after the spec — 400, and a num_cases over
-// server.MaxNumCases 400 naming that limit. None may reach a job.
+// TestSubmitBodyLimits is the job API's conformance table, named for
+// the body-limit rows it began with. Every row goes to a synthd and to
+// a coordinator in front of it, and both must answer with the row's
+// status and a JSON APIError whose text holds the row's message — the
+// same text from both. The rows are the specs that do not build and
+// the bodies that do not decode (a body over server.MaxSpecBytes is a
+// 413 naming the limit, a num_cases over server.MaxNumCases a 400
+// naming that one), unknown ids, an unknown ?status=, and a malformed
+// Last-Event-ID on a known job. None may reach a job.
 func TestSubmitBodyLimits(t *testing.T) {
+	ctx := context.Background()
 	w := newWorker(t, server.Config{Workers: 1})
 	defer w.stop()
-	co, ts, _ := newFleet(t, w)
+	co, ts, c := newFleet(t, w)
 	defer ts.Close()
 	defer co.Close()
 
+	// One known job on each side, for the row that needs one.
+	known := map[string]string{}
+	for name, cl := range map[string]*client.Client{"synthd": client.New(w.ts.URL), "coordinator": c} {
+		v, err := cl.Submit(ctx, easySpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		known[name] = v.ID
+	}
+
+	spec := func(s server.JobSpec) string {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	xor := server.ProblemSpec{Expr: "xorq(x, y)", Inputs: 2}
 	huge := `{"problem": {"expr": "` + strings.Repeat("x", server.MaxSpecBytes) + `", "inputs": 1}}`
+	type row struct {
+		name, method, path, body string
+		lastEventID              string
+		code                     int
+		msg                      string
+	}
+	const post, get, del = http.MethodPost, http.MethodGet, http.MethodDelete
+	rows := []row{
+		{name: "no-problem-source", method: post, path: "/v1/jobs", body: spec(server.JobSpec{}), code: 400, msg: "bad job spec"},
+		{name: "two-sources", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: server.ProblemSpec{
+			Expr: "xorq(x, y)", Inputs: 2, Sygus: "(set-logic BV)"}}), code: 400, msg: "bad job spec"},
+		{name: "bad-expr", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: server.ProblemSpec{Expr: "frobq(x)", Inputs: 1}}), code: 400, msg: "frobq"},
+		{name: "bad-cost", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: xor, Options: server.OptionsSpec{Cost: "bogus"}}), code: 400, msg: "bogus"},
+		{name: "bad-strategy", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: xor, Options: server.OptionsSpec{Strategy: "fixed:-1"}}), code: 400, msg: "fixed:-1"},
+		{name: "bad-timeout", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: xor, TimeoutMS: -5}), code: 400, msg: "timeout"},
+		{name: "oversized", method: post, path: "/v1/jobs", body: huge, code: 413, msg: strconv.Itoa(server.MaxSpecBytes)},
+		{name: "malformed", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "xorq(x, y)", "inputs": 2}`, code: 400, msg: "bad job spec"},
+		{name: "unknown-field", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "budget": 5}`, code: 400, msg: "bad job spec"},
+		{name: "trailing-data", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} {}`, code: 400, msg: "data after the job spec"},
+		{name: "trailing-garbage", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} nonsense`, code: 400, msg: "bad job spec"},
+		{name: "eqsat-option", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "options": {"eqsat": true}}`, code: 400, msg: `unknown field "eqsat"`},
+		{name: "prune-option", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "options": {"prune": true}}`, code: 400, msg: `unknown field "prune"`},
+		{name: "num-cases", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "x", "inputs": 1, "num_cases": 1000000000}}`, code: 400, msg: strconv.Itoa(server.MaxNumCases)},
+		{name: "get-unknown-id", method: get, path: "/v1/jobs/zzz", code: 404, msg: "no such job"},
+		{name: "cancel-unknown-id", method: del, path: "/v1/jobs/zzz", code: 404, msg: "no such job"},
+		{name: "events-unknown-id", method: get, path: "/v1/jobs/zzz/events", code: 404, msg: "no such job"},
+		{name: "unknown-status", method: get, path: "/v1/jobs?status=bogus", code: 400,
+			msg: `unknown status "bogus" (want one of queued, running, completed, cancelled, failed)`},
+		{name: "malformed-last-event-id", method: get, path: "/v1/jobs/{known}/events", lastEventID: "not-a-seq", code: 400, msg: "Last-Event-ID"},
+	}
+
+	synthd := map[string]server.APIError{}
 	for _, target := range []struct{ name, url string }{{"synthd", w.ts.URL}, {"coordinator", ts.URL}} {
-		for _, tc := range []struct {
-			name, body string
-			code       int
-			msg        string
-		}{
-			{"oversized", huge, http.StatusRequestEntityTooLarge, strconv.Itoa(server.MaxSpecBytes)},
-			{"malformed", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}`, http.StatusBadRequest, "bad job spec"},
-			{"unknown-field", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "budget": 5}`, http.StatusBadRequest, "bad job spec"},
-			{"trailing-data", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} {}`, http.StatusBadRequest, "data after the job spec"},
-			{"trailing-garbage", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}} nonsense`, http.StatusBadRequest, "bad job spec"},
-			{"eqsat-option", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "options": {"eqsat": true}}`, http.StatusBadRequest, `unknown field "eqsat"`},
-			{"prune-option", `{"problem": {"expr": "xorq(x, y)", "inputs": 2}, "options": {"prune": true}}`, http.StatusBadRequest, `unknown field "prune"`},
-			{"num-cases", `{"problem": {"expr": "x", "inputs": 1, "num_cases": 1000000000}}`, http.StatusBadRequest, strconv.Itoa(server.MaxNumCases)},
-		} {
+		for _, tc := range rows {
 			t.Run(target.name+"/"+tc.name, func(t *testing.T) {
-				resp, err := http.Post(target.url+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+				path := strings.ReplaceAll(tc.path, "{known}", known[target.name])
+				req, err := http.NewRequest(tc.method, target.url+path, strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.lastEventID != "" {
+					req.Header.Set("Last-Event-ID", tc.lastEventID)
+				}
+				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer resp.Body.Close()
+				if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+					t.Errorf("status %d with Content-Type %q, want application/json", resp.StatusCode, ct)
+				}
 				var apiErr server.APIError
 				if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
 					t.Fatalf("status %d, undecodable error body: %v", resp.StatusCode, err)
@@ -464,10 +523,15 @@ func TestSubmitBodyLimits(t *testing.T) {
 				if resp.StatusCode != tc.code || !strings.Contains(apiErr.Error, tc.msg) {
 					t.Errorf("got %d %q, want %d mentioning %q", resp.StatusCode, apiErr.Error, tc.code, tc.msg)
 				}
+				if target.name == "synthd" {
+					synthd[tc.name] = apiErr
+				} else if apiErr != synthd[tc.name] {
+					t.Errorf("coordinator says %q, synthd %q", apiErr.Error, synthd[tc.name].Error)
+				}
 			})
 		}
 	}
-	if n := w.srv.Snapshot().Jobs.Total; n != 0 {
-		t.Errorf("synthd accepted %d jobs from bad submissions", n)
+	if n := w.srv.Snapshot().Jobs.Total; n != 2 {
+		t.Errorf("synthd holds %d jobs, want only the 2 known ones", n)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,20 +32,11 @@ func (s Status) Terminal() bool {
 	return s == StatusCompleted || s == StatusCancelled || s == StatusFailed
 }
 
-// KnownStatuses lists every lifecycle state, in transition order. The
-// HTTP layer uses it to validate ?status= filters.
-func KnownStatuses() []Status {
-	return []Status{StatusQueued, StatusRunning, StatusCompleted, StatusCancelled, StatusFailed}
-}
+// statuses lists every lifecycle state, in transition order.
+var statuses = []Status{StatusQueued, StatusRunning, StatusCompleted, StatusCancelled, StatusFailed}
 
 // Known reports whether s is one of the lifecycle states.
-func (s Status) Known() bool {
-	switch s {
-	case StatusQueued, StatusRunning, StatusCompleted, StatusCancelled, StatusFailed:
-		return true
-	}
-	return false
-}
+func (s Status) Known() bool { return slices.Contains(statuses, s) }
 
 // job is the server-side state of one submission. The mutable fields
 // are guarded by mu; the identity fields (id, spec, problem, opts,

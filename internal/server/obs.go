@@ -1,20 +1,17 @@
 package server
 
 import (
-	"net/http"
-	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"stochsyn/internal/obs"
 )
 
 // This file holds the server's observability wiring: the metric
-// bundle resolved against the obs registry at startup, the HTTP
-// latency middleware, and the /metrics, /tracez, and /debug/pprof
-// routes. The server always owns an obs sink — Config.Obs lets the
-// embedding process (cmd/synthd) share it, e.g. to add a -trace file
-// sink or extra series.
+// bundle resolved against the obs registry at startup (the request
+// metrics and the telemetry routes are the front end's, frontend.go).
+// The server always owns an obs sink — Config.Obs lets the embedding
+// process (cmd/synthd) share it, e.g. to add a -trace file sink or
+// extra series.
 
 // serverMetrics bundles the handles the request and job paths touch,
 // so those paths never hit the registry's name lookup.
@@ -108,15 +105,12 @@ func (s *Server) initObs() {
 	// One gauge per lifecycle state; the scrape walks the job table
 	// once per state, which stays cheap at the server's job-count
 	// scale and keeps the series set fixed.
-	for _, st := range []Status{StatusQueued, StatusRunning, StatusCompleted, StatusCancelled, StatusFailed} {
-		st := st
+	for _, st := range statuses {
 		r.GaugeFunc("stochsyn_jobs", func() float64 {
 			return float64(s.jobCounts().by(st))
 		}, "state", string(st))
 	}
 	r.SetHelp("stochsyn_jobs", "Registered jobs by lifecycle state.")
-	r.SetHelp("stochsyn_http_requests_total", "HTTP requests by route pattern and status code.")
-	r.SetHelp("stochsyn_http_request_seconds", "HTTP request latency by route pattern.")
 }
 
 // by returns the count for one state.
@@ -134,45 +128,4 @@ func (c JobCounts) by(st Status) int {
 		return c.Failed
 	}
 	return 0
-}
-
-// statusWriter captures the response code for the request metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with per-route latency and request
-// counting. The route label is the (static) mux pattern, never the
-// raw URL, so series cardinality stays bounded.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.obs.Reg.Histogram("stochsyn_http_request_seconds", nil, "route", route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		begin := time.Now()
-		h(sw, r)
-		hist.Observe(time.Since(begin).Seconds())
-		s.obs.Reg.Counter("stochsyn_http_requests_total",
-			"route", route, "code", strconv.Itoa(sw.code)).Inc()
-	}
-}
-
-// observability registers the telemetry endpoints on mux:
-//
-//	GET /metrics       Prometheus text exposition of the registry
-//	GET /tracez        recent trace events as JSONL (?n= caps the count)
-//	GET /debug/pprof/  the standard net/http/pprof handlers
-func (s *Server) observability(mux *http.ServeMux) {
-	mux.Handle("GET /metrics", s.obs.Reg.Handler())
-	mux.Handle("GET /tracez", s.obs.Tracer.Handler())
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }

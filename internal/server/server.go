@@ -2,13 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,16 +259,13 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// submit registers a new job for the spec, serving it from the cache
-// when possible. It returns the job and whether it was accepted;
-// rejections (queue full or server draining) are reported as an
-// httpError. parent is the submitter's span context (from a
-// traceparent header — the fleet coordinator's submit span); the zero
-// value starts a fresh trace.
-func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
+// Submit implements Backend: it registers a new job for the spec,
+// serving it from the cache when possible. Rejections (queue full or
+// server draining) are a 503 *Error.
+func (s *Server) Submit(_ context.Context, spec JobSpec, parent obs.SpanContext) (JobView, error) {
 	problem, opts, err := spec.Build()
 	if err != nil {
-		return nil, err
+		return JobView{}, err
 	}
 	// Cap per-job parallelism by the global worker budget. The cap
 	// never changes results (the tree executor is bit-identical for
@@ -284,7 +278,7 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 	}
 	structKey, err := CacheKey(problem, opts)
 	if err != nil {
-		return nil, err
+		return JobView{}, err
 	}
 	// The cache is indexed by the semantic (canonical) key, so
 	// structurally different but semantically equal submissions —
@@ -292,7 +286,7 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 	// specs — hit the same entry.
 	key, err := CanonicalCacheKey(problem, opts)
 	if err != nil {
-		return nil, err
+		return JobView{}, err
 	}
 	// Expr-based submissions additionally get the second-level
 	// rewrite-equivalence key; spec.Build already validated the expr,
@@ -316,7 +310,7 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 		j := s.newJob(spec, problem, opts, key, structKey, eqKey, parent)
 		s.finishFromCache(j, res)
 		s.register(j)
-		return j, nil
+		return j.snapshot(), nil
 	}
 	// Level-2: a rewrite-equivalent reference expression's cached
 	// solution, re-verified against this submission's own example set
@@ -335,7 +329,7 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 			s.finishFromCache(j, res)
 			s.cache.put(key, structKey, eqKey, res)
 			s.register(j)
-			return j, nil
+			return j.snapshot(), nil
 		}
 	}
 	s.metrics.cacheMisses.Inc()
@@ -350,7 +344,7 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 		s.mu.Unlock()
 		s.metrics.rejected.Inc()
 		j.cancel()
-		return nil, &httpError{code: http.StatusServiceUnavailable, msg: "server is draining"}
+		return JobView{}, &Error{http.StatusServiceUnavailable, "server is draining"}
 	}
 	// An identical job may already be in flight: join it as a follower
 	// instead of burning a second search (see singleflight.go).
@@ -362,14 +356,14 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 		j.tracer.Emit("singleflight_join", map[string]any{
 			"id": j.id, "leader": leader.id, "key": key,
 		})
-		return j, nil
+		return j.snapshot(), nil
 	}
 	if len(s.queue) == cap(s.queue) {
 		delete(s.flights, key)
 		s.mu.Unlock()
 		s.metrics.rejected.Inc()
 		j.cancel()
-		return nil, &httpError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("job queue full (depth %d)", s.cfg.QueueDepth)}
+		return JobView{}, &Error{http.StatusServiceUnavailable, fmt.Sprintf("job queue full (depth %d)", s.cfg.QueueDepth)}
 	}
 	s.registerLocked(j)
 	// Logged before the job is queued: a worker may run a queued job to
@@ -379,7 +373,7 @@ func (s *Server) submit(spec JobSpec, parent obs.SpanContext) (*job, error) {
 	j.tracer.Emit("job_submitted", map[string]any{"id": j.id})
 	s.queue <- j
 	s.mu.Unlock()
-	return j, nil
+	return j.snapshot(), nil
 }
 
 // JobTraceCap is the ring capacity of each job's trace fork: enough
@@ -461,11 +455,14 @@ func (s *Server) registerLocked(j *job) {
 	s.order = append(s.order, j)
 }
 
-// lookup returns the job with the given id, or nil.
-func (s *Server) lookup(id string) *job {
+// lookup returns the job with the given id, or ErrNoSuchJob.
+func (s *Server) lookup(id string) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
+	if j := s.jobs[id]; j != nil {
+		return j, nil
+	}
+	return nil, ErrNoSuchJob
 }
 
 // Stats is the /statsz snapshot. The counters are read back from the
@@ -682,206 +679,55 @@ func (s *Server) Snapshot() Stats {
 	return st
 }
 
-// httpError carries a status code chosen by the layer that detected
-// the problem.
-type httpError struct {
-	code int
-	msg  string
-}
+// Handler returns the server's HTTP API: the Frontend over s.
+func (s *Server) Handler() http.Handler { return Frontend(s, s.obs) }
 
-func (e *httpError) Error() string { return e.msg }
-
-// statusNames renders the known lifecycle states for error messages.
-func statusNames() string {
-	names := make([]string, 0, 5)
-	for _, st := range KnownStatuses() {
-		names = append(names, string(st))
-	}
-	return strings.Join(names, ", ")
-}
-
-// ErrorStatus maps an error to its HTTP status: spec and validation
-// errors are the client's fault (400), scheduling rejections carry
-// their own code, everything else is a 500. Exported for the fleet
-// coordinator, which validates specs with the same machinery before
-// forwarding them.
-func ErrorStatus(err error) int {
-	var he *httpError
-	switch {
-	case errors.As(err, &he):
-		return he.code
-	case errors.Is(err, ErrBadSpec),
-		errors.Is(err, stochsyn.ErrInvalidOptions),
-		errors.Is(err, stochsyn.ErrInvalidProblem):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// Handler returns the server's HTTP API:
-//
-//	POST   /v1/jobs             submit a job (JobSpec body) → JobView
-//	GET    /v1/jobs             list jobs (optional ?status= filter) → []JobView
-//	GET    /v1/jobs/{id}        poll one job → JobView
-//	GET    /v1/jobs/{id}/events live job telemetry as SSE (resumable via Last-Event-ID)
-//	DELETE /v1/jobs/{id}        cancel a job → JobView
-//	GET    /healthz             liveness probe
-//	GET    /statsz              Stats snapshot
-//	GET    /metrics             Prometheus text exposition
-//	GET    /tracez              recent trace events as JSONL (?n= caps, ?event= filters)
-//	GET    /debug/pprof/        runtime profiles (net/http/pprof)
-//
-// The /v1, /healthz, and /statsz routes are wrapped with per-route
-// latency histograms and request counters (stochsyn_http_*); the
-// telemetry routes themselves are left unwrapped so scraping does not
-// feed back into the scraped series — that includes the SSE route,
-// whose open-ended connection lifetime would poison the latency
-// histogram.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.instrument("/v1/jobs", s.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleGet))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleCancel))
-	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("GET /statsz", s.instrument("/statsz", s.handleStatsz))
-	s.observability(mux)
-	return mux
-}
-
-// MaxSpecBytes caps the body of a job submission (POST /v1/jobs) on
-// synthd and on the fleet coordinator. The largest spec a client in
-// this repository sends, a 1000-case 3-input example set from
-// cmd/perfbench's traced pbe-wide run, is about 91 KiB (93,112 bytes),
-// so 4 MiB leaves room for specs some 45 times larger.
-const MaxSpecBytes = 4 << 20
-
-// DecodeSpec decodes the JobSpec of a submission: one JSON object with
-// no unknown fields and nothing but white space after it, read from at
-// most MaxSpecBytes of the body. The returned error carries its HTTP
-// status for ErrorStatus: 413, naming the limit, for a body over the
-// cap, and 400 for a malformed one.
-func DecodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, error) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			return spec, nil
-		} else if err == nil {
-			err = errors.New("data after the job spec")
-		}
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return spec, &httpError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("job spec body exceeds the %d-byte limit", tooBig.Limit)}
-	}
-	return spec, &httpError{http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err)}
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeSpec(w, r)
+// Job implements Backend.
+func (s *Server) Job(_ context.Context, id string) (JobView, error) {
+	j, err := s.lookup(id)
 	if err != nil {
-		writeError(w, ErrorStatus(err), err.Error())
-		return
+		return JobView{}, err
 	}
-	// A traceparent-style header links the job's spans under the
-	// submitter's trace (the fleet coordinator propagates its submit
-	// span this way); absent or malformed, the job roots a new trace.
-	parent, _ := obs.ParseTraceParent(r.Header.Get("Traceparent"))
-	j, err := s.submit(spec, parent)
+	return j.snapshot(), nil
+}
+
+// Cancel implements Backend: a queued job is cancelled at once, a
+// running one when its search next polls its context.
+func (s *Server) Cancel(_ context.Context, id string) (JobView, error) {
+	j, err := s.lookup(id)
 	if err != nil {
-		writeError(w, ErrorStatus(err), err.Error())
-		return
-	}
-	v := j.snapshot()
-	code := http.StatusAccepted
-	if v.Status.Terminal() {
-		code = http.StatusOK // served from cache
-	}
-	writeJSON(w, code, v)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	filter := Status(r.URL.Query().Get("status"))
-	if filter != "" && !filter.Known() {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"unknown status %q (want one of %s)", filter, statusNames()))
-		return
-	}
-	s.mu.Lock()
-	jobs := make([]*job, len(s.order))
-	copy(jobs, s.order)
-	s.mu.Unlock()
-	views := make([]JobView, 0, len(jobs))
-	for _, j := range jobs {
-		v := j.snapshot()
-		if filter != "" && v.Status != filter {
-			continue
-		}
-		views = append(views, v)
-	}
-	writeJSON(w, http.StatusOK, views)
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, j.snapshot())
-}
-
-// handleEvents streams one job's telemetry as Server-Sent Events:
-// a replay of the job's trace ring (resumable — Last-Event-ID skips
-// already-seen sequence numbers) followed by the live feed, ending
-// with the terminal job_finished event. Slow consumers lose events
-// rather than ever stalling the search (the tracer counts drops).
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	obs.ServeEventStream(w, r, j.tracer, "job_finished")
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+		return JobView{}, err
 	}
 	j.requestCancel()
-	writeJSON(w, http.StatusOK, j.snapshot())
+	return j.snapshot(), nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// Jobs implements Backend.
+func (s *Server) Jobs(context.Context) []JobView {
+	s.mu.Lock()
+	jobs := slices.Clone(s.order)
+	s.mu.Unlock()
+	views := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		views[i] = j.snapshot()
+	}
+	return views
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
+// Events implements Backend: the job's trace fork.
+func (s *Server) Events(id string) (*obs.Tracer, error) {
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return j.tracer, nil
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
+// Health implements Backend.
+func (s *Server) Health() any { return map[string]string{"status": "ok"} }
 
-// APIError is the JSON body of every non-2xx response.
-type APIError struct {
-	Error string `json:"error"`
-}
+// Stats implements Backend: the Snapshot.
+func (s *Server) Stats(context.Context) any { return s.Snapshot() }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, APIError{Error: msg})
-}
+// Metrics implements Backend: the registry's exposition.
+func (s *Server) Metrics() http.Handler { return s.obs.Reg.Handler() }

@@ -1,9 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -227,34 +230,22 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
-// TestBadRequests checks the HTTP error mapping for malformed specs.
-func TestBadRequests(t *testing.T) {
-	ctx := context.Background()
-	srv, ts, c := newTestServer(t, server.Config{Workers: 1, WorkerBudget: 1})
-	defer ts.Close()
-	defer srv.Close()
-
-	for name, spec := range map[string]server.JobSpec{
-		"no-problem-source": {},
-		"two-sources": {Problem: server.ProblemSpec{
-			Expr: "xorq(x, y)", Inputs: 2, Sygus: "(set-logic BV)",
-		}},
-		"bad-expr":     {Problem: server.ProblemSpec{Expr: "frobq(x)", Inputs: 1}},
-		"bad-cost":     {Problem: server.ProblemSpec{Expr: "xorq(x, y)", Inputs: 2}, Options: server.OptionsSpec{Cost: "bogus"}},
-		"bad-strategy": {Problem: server.ProblemSpec{Expr: "xorq(x, y)", Inputs: 2}, Options: server.OptionsSpec{Strategy: "fixed:-1"}},
-		"bad-timeout":  {Problem: server.ProblemSpec{Expr: "xorq(x, y)", Inputs: 2}, TimeoutMS: -5},
-	} {
-		_, err := c.Submit(ctx, spec)
-		var ae *client.APIError
-		if !errors.As(err, &ae) || ae.StatusCode != 400 {
-			t.Errorf("%s: err = %v, want 400 APIError", name, err)
-		}
+// submit503 posts spec and expects a 503 that tells the client to
+// retry in a second.
+func submit503(t *testing.T, url string, spec server.JobSpec) {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	_, err := c.Job(ctx, "j999999")
-	var ae *client.APIError
-	if !errors.As(err, &ae) || ae.StatusCode != 404 {
-		t.Errorf("unknown job: err = %v, want 404 APIError", err)
+	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("submit = %d with Retry-After %q, want 503 with Retry-After 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 
@@ -290,11 +281,7 @@ func TestQueueFullAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Submit(ctx, hardSpec(3))
-	var ae *client.APIError
-	if !errors.As(err, &ae) || ae.StatusCode != 503 {
-		t.Fatalf("overflow submit: err = %v, want 503 APIError", err)
-	}
+	submit503(t, ts.URL, hardSpec(3))
 
 	// Drain with an expired deadline: running jobs are cancelled.
 	expired, cancel := context.WithDeadline(context.Background(), time.Now())
@@ -313,9 +300,36 @@ func TestQueueFullAndDrain(t *testing.T) {
 	}
 
 	// Submissions after shutdown are rejected with 503.
-	_, err = c.Submit(ctx, easySpec(1))
-	if !errors.As(err, &ae) || ae.StatusCode != 503 {
-		t.Errorf("submit after shutdown: err = %v, want 503 APIError", err)
+	submit503(t, ts.URL, easySpec(1))
+}
+
+// TestGeometricCutoffOverflow submits the exponential and inner-outer
+// strategies with a growth factor whose second cutoff, 1e19, is past
+// MaxInt64. The cutoff saturates, so the job completes instead of
+// panicking the process on a negative cutoff.
+func TestGeometricCutoffOverflow(t *testing.T) {
+	ctx := context.Background()
+	srv, ts, c := newTestServer(t, server.Config{Workers: 1, WorkerBudget: 1})
+	defer ts.Close()
+	defer srv.Close()
+
+	for _, strategy := range []string{"exp:1:1e19", "innerouter:1:1e19"} {
+		v, err := c.Submit(ctx, server.JobSpec{
+			Problem: server.ProblemSpec{Expr: "andq(x, subq(x, 1))", Inputs: 1},
+			Options: server.OptionsSpec{Strategy: strategy, Budget: 100_000},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
+		v, err = c.Wait(wctx, v.ID, 0)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		if v.Status != server.StatusCompleted || v.Result == nil || v.Result.Searches > 2 {
+			t.Errorf("%s: %+v, want completed within 2 searches", strategy, v)
+		}
 	}
 }
 

@@ -5,6 +5,9 @@
 #   1. a SyGuS job through `synth -remote` pointed at the coordinator
 #      (sharded forwarding) solves;
 #   2. an exact resubmission is served from the owning worker's cache;
+#      a job whose exponential strategy overflows the cutoff
+#      (exp:1:1e19) completes with both workers still up, and the
+#      coordinator's own routes feed its request series;
 #   3. a long-running job's worker is killed mid-run and the
 #      coordinator re-dispatches it to the survivor — same job id, no
 #      hang, full result;
@@ -87,6 +90,35 @@ esac
 	fail "resubmission through the coordinator failed"
 curl -sf "http://$coord/tracez?n=50" | grep -q '"fleet_forward"' ||
 	fail "coordinator trace has no fleet_forward events"
+
+# A growth factor of 1e19 puts the second cutoff past MaxInt64. The
+# cutoff saturates; a worker that took it for a negative cutoff would
+# crash, and so would every worker the job was re-dispatched to.
+cat > "$tmp/exp.json" <<'EOF'
+{"problem": {"expr": "andq(x, subq(x, 1))", "inputs": 1},
+ "options": {"strategy": "exp:1:1e19", "budget": 100000}}
+EOF
+resp=$(curl -sf -X POST --data-binary @"$tmp/exp.json" "http://$coord/v1/jobs") ||
+	fail "exp:1:1e19 submission failed"
+id=$(printf '%s\n' "$resp" | sed -n 's/^ *"id": "\([^"]*\)".*/\1/p' | head -n 1)
+i=0
+status=
+while [ $i -lt 100 ]; do
+	status=$(curl -sf "http://$coord/v1/jobs/$id" |
+		sed -n 's/^ *"status": "\([^"]*\)".*/\1/p' | head -n 1)
+	[ "$status" = completed ] && break
+	case "$status" in failed | cancelled) fail "exp:1:1e19 job ended $status" ;; esac
+	i=$((i + 1))
+	sleep 0.1
+done
+[ "$status" = completed ] || fail "exp:1:1e19 job did not complete (status: $status)"
+for w in "$w0_addr" "$w1_addr"; do
+	curl -sf "http://$w/healthz" > /dev/null || fail "worker $w is down after the exp:1:1e19 job"
+done
+curl -sf "http://$coord/metrics" | grep '^stochsyn_http_requests_total{' |
+	grep 'route="/v1/jobs"' | grep -qv 'worker=' ||
+	fail "coordinator /metrics has no stochsyn_http_requests_total series of its own for /v1/jobs"
+echo "fleet-smoke: exp:1:1e19 completed with both workers up"
 
 # 3. Kill the worker a long job runs on; the coordinator must
 # re-dispatch to the survivor under the same id.
