@@ -2,10 +2,11 @@
 // examples using the stochastic search and restart strategies of the
 // library.
 //
-// The problem comes from one of three sources:
+// The problem comes from one of four sources:
 //
 //	-expr "andq(x, subq(x, 1))" -inputs 1   a reference expression
 //	-spec file.txt                           an examples file
+//	-sl problem.sl                           a SyGuS-IF file (PBE bitvector subset)
 //	-problem hd03                            a built-in benchmark entry
 //
 // An examples file holds one case per line: the input values followed
@@ -21,16 +22,19 @@
 //
 //	synth -remote http://127.0.0.1:8731 -sl problem.sl
 //
+// Both modes turn the flags into the same job spec (server.JobSpec):
+// locally synth builds and runs it with stochsyn.SynthesizeContext,
+// remotely synthd does, so a spec prints the same program either way.
 // Ctrl-C cancels cleanly in both modes (remotely, the job is
 // cancelled on the server before exiting).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"os"
 	"os/signal"
 	"strconv"
@@ -38,185 +42,184 @@ import (
 	"syscall"
 	"time"
 
-	"stochsyn/internal/cost"
+	"stochsyn"
 	"stochsyn/internal/mutate"
 	"stochsyn/internal/obs"
-	"stochsyn/internal/prog"
-	"stochsyn/internal/prog/analysis"
-	"stochsyn/internal/prog/analysis/absint"
 	"stochsyn/internal/prog/plan"
-	"stochsyn/internal/restart"
-	"stochsyn/internal/search"
 	"stochsyn/internal/server"
 	"stochsyn/internal/server/client"
 	"stochsyn/internal/sygus"
-	"stochsyn/internal/sygusif"
 	"stochsyn/internal/testcase"
 	"stochsyn/internal/textplot"
 )
 
 func main() {
-	var (
-		expr     = flag.String("expr", "", "reference expression to synthesize an equivalent of")
-		inputs   = flag.Int("inputs", 1, "number of inputs (with -expr)")
-		cases    = flag.Int("cases", 100, "number of generated test cases (with -expr)")
-		specFile = flag.String("spec", "", "examples file (inputs... output per line)")
-		slFile   = flag.String("sl", "", "SyGuS-IF .sl file (PBE bitvector subset)")
-		problem  = flag.String("problem", "", "built-in benchmark problem name (e.g. hd03)")
-		minimize = flag.Bool("minimize", false, "after solving, keep searching for a smaller program with the remaining budget")
-		lint     = flag.Bool("lint", false, "after solving, report static-analysis findings and the canonical form of the solution (to stderr)")
-		costName = flag.String("cost", "hamming", "cost function: hamming, inctests, logdiff")
-		beta     = flag.Float64("beta", 1, "acceptance temperature (normalized to 100 tests)")
-		strategy = flag.String("strategy", "adaptive", "restart strategy spec (naive, luby, adaptive, pluby, fixed:N, exp:T0:Z, innerouter:T0:Z)")
-		budget   = flag.Int64("budget", 10_000_000, "total iteration budget")
-		dialect  = flag.String("dialect", "full", "instruction dialect: full, base, model")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		remote   = flag.String("remote", "", "synthd base URL; submit the job to a server instead of solving locally")
-		follow   = flag.Bool("follow", false, "with -remote: stream the job's live telemetry and render a cost sparkline to stderr while it runs")
-		stats    = flag.Bool("stats", false, "print end-of-run telemetry (move acceptance rates, restarts, plateaus, cost sparkline) to stderr")
-		traceTo  = flag.String("trace", "", "write trace events to this file as JSONL")
-		verbose  = flag.Bool("v", false, "print progress and the solution's details")
-	)
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
+// run is the command: it parses args, solves the job locally or on a
+// synthd, prints the program (and the -v details) to stdout and
+// everything else to stderr, and returns the exit status: 0 solved, 1
+// an error, 2 unsolved within the budget or a bad flag, 130 cancelled.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("synth", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		expr     = fs.String("expr", "", "reference expression to synthesize an equivalent of")
+		inputs   = fs.Int("inputs", 1, "number of inputs (with -expr)")
+		cases    = fs.Int("cases", 100, "number of generated test cases (with -expr)")
+		specFile = fs.String("spec", "", "examples file (inputs... output per line)")
+		slFile   = fs.String("sl", "", "SyGuS-IF .sl file (PBE bitvector subset)")
+		problem  = fs.String("problem", "", "built-in benchmark problem name (e.g. hd03)")
+		minimize = fs.Bool("minimize", false, "after solving, keep searching for a smaller program with the remaining budget")
+		lint     = fs.Bool("lint", false, "after solving, report static-analysis findings and the canonical form of the solution (to stderr)")
+		costName = fs.String("cost", "hamming", "cost function: hamming, inctests, logdiff")
+		beta     = fs.Float64("beta", 1, "acceptance temperature (normalized to 100 tests)")
+		strategy = fs.String("strategy", "adaptive", "restart strategy spec (naive, luby, adaptive, pluby, fixed:N, exp:T0:Z, innerouter:T0:Z)")
+		budget   = fs.Int64("budget", 10_000_000, "total iteration budget")
+		dialect  = fs.String("dialect", "full", "instruction dialect: full, base, model")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		remote   = fs.String("remote", "", "synthd base URL; submit the job to a server instead of solving locally")
+		follow   = fs.Bool("follow", false, "with -remote: stream the job's live telemetry and render a cost sparkline to stderr while it runs")
+		stats    = fs.Bool("stats", false, "print end-of-run telemetry (move acceptance rates, restarts, plateaus, cost sparkline) to stderr")
+		traceTo  = fs.String("trace", "", "write trace events to this file as JSONL")
+		verbose  = fs.Bool("v", false, "print progress and the solution's details")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	c := &cli{stdout: stdout, stderr: stderr, verbose: *verbose, lint: *lint}
+	switch {
+	case *remote != "" && *minimize:
+		return c.fail(errors.New("-minimize is not supported with -remote"))
+	case *remote != "" && (*stats || *traceTo != ""):
+		return c.fail(errors.New("-stats and -trace are not supported with -remote (use the server's /metrics and /tracez)"))
+	case *remote == "" && *follow:
+		return c.fail(errors.New("-follow requires -remote (local runs report with -stats)"))
+	}
+	pspec, desc, err := loadProblem(*expr, *inputs, *cases, *specFile, *slFile, *problem, *seed)
+	if err != nil {
+		return c.fail(err)
+	}
+	spec := server.JobSpec{Problem: pspec, Options: server.OptionsSpec{
+		Cost:     *costName,
+		Beta:     *beta,
+		Strategy: *strategy,
+		Budget:   *budget,
+		Dialect:  *dialect,
+		Seed:     *seed,
+	}}
 	if *remote != "" {
-		if *minimize {
-			fmt.Fprintln(os.Stderr, "synth: -minimize is not supported with -remote")
-			os.Exit(1)
-		}
-		if *stats || *traceTo != "" {
-			fmt.Fprintln(os.Stderr, "synth: -stats and -trace are not supported with -remote (use the server's /metrics and /tracez)")
-			os.Exit(1)
-		}
-		runRemote(ctx, *remote, *expr, *inputs, *cases, *specFile, *slFile, *problem,
-			*costName, *beta, *strategy, *budget, *dialect, *seed, *verbose, *lint, *follow)
-		return
+		return c.remote(ctx, *remote, spec, desc, *follow)
 	}
-	if *follow {
-		fmt.Fprintln(os.Stderr, "synth: -follow requires -remote (local runs report with -stats)")
-		os.Exit(1)
-	}
+	return c.local(ctx, spec, desc, *minimize, *stats, *traceTo)
+}
 
-	suite, desc, err := loadProblem(*expr, *inputs, *cases, *specFile, *slFile, *problem, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "synth:", err)
-		os.Exit(1)
-	}
-	kind, err := cost.ParseKind(*costName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "synth:", err)
-		os.Exit(1)
-	}
-	set, redundancy, err := pickDialect(*dialect)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "synth:", err)
-		os.Exit(1)
-	}
-	strat, err := restart.New(*strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "synth:", err)
-		os.Exit(1)
-	}
+// cli holds the output streams and the reporting flags both modes
+// share.
+type cli struct {
+	stdout, stderr io.Writer
+	verbose, lint  bool
+}
 
-	if *verbose {
-		fmt.Printf("problem: %s (%d inputs, %d cases)\n", desc, suite.NumInputs, suite.Len())
-		fmt.Printf("strategy=%s cost=%s beta=%g dialect=%s budget=%d seed=%d\n",
-			strat.Name(), kind, *beta, *dialect, *budget, *seed)
-	}
+func (c *cli) fail(err error) int {
+	fmt.Fprintln(c.stderr, "synth:", err)
+	return 1
+}
 
+// local builds the job spec and runs it in-process.
+func (c *cli) local(ctx context.Context, spec server.JobSpec, desc string, minimize, stats bool, traceTo string) int {
+	p, opts, err := spec.Build()
+	if err != nil {
+		return c.fail(err)
+	}
+	if c.verbose {
+		fmt.Fprintf(c.stdout, "problem: %s (%d inputs, %d cases)\n", desc, p.NumInputs(), p.NumCases())
+		fmt.Fprintf(c.stdout, "strategy=%s cost=%s beta=%g dialect=%s budget=%d seed=%d\n",
+			opts.Strategy, opts.Cost, opts.Beta, opts.Dialect, opts.Budget, opts.Seed)
+	}
 	// Observability never changes the search: hooks batch off the hot
 	// path and the instrumented run is bit-identical to a bare one, so
 	// -stats/-trace are safe to attach to any reproduction run.
-	var o *obs.Obs
-	sopts := search.Options{
-		Set: set, Cost: kind, Beta: *beta, Redundancy: redundancy, Seed: *seed, Ctx: ctx,
-	}
-	if *stats || *traceTo != "" {
-		o = obs.New()
-		if *traceTo != "" {
-			f, err := os.Create(*traceTo)
+	if stats || traceTo != "" {
+		opts.Obs = obs.New()
+		if traceTo != "" {
+			f, err := os.Create(traceTo)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "synth:", err)
-				os.Exit(1)
+				return c.fail(err)
 			}
 			defer f.Close()
-			o.Tracer.SetSink(f)
+			opts.Obs.Tracer.SetSink(f)
 		}
-		sopts.Obs = search.NewObsHooks(o.Reg, o.Tracer)
-		strat = restart.Instrument(strat, restart.NewObsHooks(o.Reg, o.Tracer, strat.Name()))
 	}
-
-	factory := search.NewFactory(suite, sopts)
-	start := time.Now()
-	res := strat.RunContext(ctx, factory, *budget)
-	elapsed := time.Since(start)
-
-	if *stats {
-		printRunStats(os.Stderr, o, res, elapsed)
+	res, err := stochsyn.SynthesizeContext(ctx, p, opts)
+	if err != nil {
+		return c.fail(err)
 	}
-	if res.Cancelled {
-		fmt.Printf("cancelled after %d iterations (%d searches, %v)\n",
-			res.Iterations, res.Searches, elapsed.Round(time.Millisecond))
-		os.Exit(130)
+	if stats {
+		printRunStats(c.stderr, opts.Obs, res)
 	}
-	if !res.Solved {
-		fmt.Printf("FAILED after %d iterations (%d searches, %v)\n",
-			res.Iterations, res.Searches, elapsed.Round(time.Millisecond))
-		os.Exit(2)
+	took := res.Duration.Round(time.Millisecond)
+	switch {
+	case res.Cancelled:
+		fmt.Fprintf(c.stdout, "cancelled after %d iterations (%d searches, %v)\n", res.Iterations, res.Searches, took)
+		return 130
+	case !res.Solved:
+		fmt.Fprintf(c.stdout, "FAILED after %d iterations (%d searches, %v)\n", res.Iterations, res.Searches, took)
+		return 2
 	}
-	sol := res.Winner.(*search.Run).Solution()
-	if *verbose {
-		rate := float64(res.Iterations) / elapsed.Seconds()
-		fmt.Printf("solved in %d iterations (%d searches, %v, %.0f iters/sec)\n",
-			res.Iterations, res.Searches, elapsed.Round(time.Millisecond), rate)
-		fmt.Printf("program size: %d nodes\n", sol.BodyLen())
+	program, lint, facts, canonical, hash := res.Program, res.Lint, res.Facts, res.Canonical, res.CanonicalHash
+	if c.verbose {
+		rate := float64(res.Iterations) / res.Duration.Seconds()
+		fmt.Fprintf(c.stdout, "solved in %d iterations (%d searches, %v, %.0f iters/sec)\n",
+			res.Iterations, res.Searches, took, rate)
+		if sol, err := stochsyn.ParseProgram(program, p.NumInputs()); err == nil {
+			fmt.Fprintf(c.stdout, "program size: %d nodes\n", sol.Size())
+		}
 	}
-	if *minimize {
-		if remaining := *budget - res.Iterations; remaining > 0 {
-			opt := search.New(suite, search.Options{
-				Set: set, Cost: kind, Beta: *beta, Redundancy: redundancy,
-				Seed: *seed ^ 0xabcdef, Init: sol, MinimizeSize: true,
-			})
-			opt.Step(remaining)
-			if best := opt.Best(); best != nil && best.BodyLen() < sol.BodyLen() {
-				if *verbose {
-					fmt.Printf("minimized: %d -> %d nodes\n", sol.BodyLen(), best.BodyLen())
-				}
-				sol = best
+	if remaining := opts.Budget - res.Iterations; minimize && remaining > 0 {
+		mopts := opts
+		mopts.Budget, mopts.Seed = remaining, opts.Seed^0xabcdef
+		m, err := stochsyn.OptimizeContext(ctx, p, program, mopts)
+		if err != nil {
+			return c.fail(err)
+		}
+		if m.Improved {
+			if c.verbose {
+				fmt.Fprintf(c.stdout, "minimized: %d -> %d nodes\n", m.StartSize, m.Size)
 			}
+			program, lint, facts, canonical, hash = m.Program, m.Lint, m.Facts, m.Canonical, m.CanonicalHash
 		}
 	}
-	fmt.Println(sol)
-	if *lint {
-		report := analysis.Run(sol)
-		printLint(os.Stderr, report.Strings())
-		printFacts(os.Stderr, absint.Describe(sol, absint.Analyze(sol, absint.InputFacts(suite), nil)))
-		canon := analysis.Canonicalize(sol)
-		fmt.Fprintf(os.Stderr, "canonical (%016x): %s\n", analysis.Hash(canon), canon)
+	fmt.Fprintln(c.stdout, program)
+	if c.lint {
+		printAudit(c.stderr, lint, facts, canonical, fmt.Sprintf("%016x", hash))
 	}
+	return 0
 }
 
-// printLint renders static-analysis findings, one per line, or a
-// single "clean" line when there are none.
-func printLint(w io.Writer, findings []string) {
-	if len(findings) == 0 {
+// printAudit renders a solution's audit, as a stochsyn.Result or a
+// job's result carries it: the static-analysis findings (or a single
+// "clean" line), the abstract facts derived from the example inputs,
+// one node per line, and the canonical form with its hash.
+func printAudit(w io.Writer, lint, facts []string, canonical, hash string) {
+	if len(lint) == 0 {
 		fmt.Fprintln(w, "lint: clean")
-		return
 	}
-	for _, f := range findings {
+	for _, f := range lint {
 		fmt.Fprintln(w, "lint:", f)
 	}
-}
-
-// printFacts renders the abstract-interpretation facts derived for the
-// solution from the example inputs, one node per line; nothing is
-// printed when no node has a nontrivial fact.
-func printFacts(w io.Writer, facts []string) {
 	for _, f := range facts {
 		fmt.Fprintln(w, "fact:", f)
+	}
+	if canonical != "" {
+		fmt.Fprintf(w, "canonical (%s): %s\n", hash, canonical)
 	}
 }
 
@@ -225,19 +228,12 @@ func printFacts(w io.Writer, facts []string) {
 // counters), plateau count, and the sampled cost trajectory as a
 // sparkline (flush-granularity samples across all searches, in
 // emission order).
-func printRunStats(w io.Writer, o *obs.Obs, res restart.Result, elapsed time.Duration) {
+func printRunStats(w io.Writer, o *obs.Obs, res stochsyn.Result) {
 	fmt.Fprintln(w, "-- run telemetry --")
-	rate := float64(res.Iterations) / elapsed.Seconds()
+	rate := float64(res.Iterations) / res.Duration.Seconds()
 	fmt.Fprintf(w, "iterations: %d in %v (%.0f iters/sec)\n",
-		res.Iterations, elapsed.Round(time.Millisecond), rate)
-	restarts := res.Searches
-	note := ""
-	if res.Exec != nil {
-		restarts = res.Exec.SearchesLive
-		note = fmt.Sprintf(" (%d speculative iterations on %d workers)",
-			res.Exec.Speculated, res.Exec.Workers)
-	}
-	fmt.Fprintf(w, "restarts:   %d searches%s\n", restarts, note)
+		res.Iterations, res.Duration.Round(time.Millisecond), rate)
+	fmt.Fprintf(w, "restarts:   %d searches\n", res.Searches)
 	fmt.Fprintf(w, "plateaus:   %.0f\n", o.Reg.Counter("stochsyn_search_plateaus_total").Value())
 	fmt.Fprintf(w, "kernels:    %s\n", plan.KernelSet())
 
@@ -290,8 +286,12 @@ func printRunStats(w io.Writer, o *obs.Obs, res restart.Result, elapsed time.Dur
 	}
 }
 
-// loadProblem resolves the problem source flags into a suite.
-func loadProblem(expr string, inputs, cases int, specFile, slFile, problem string, seed uint64) (*testcase.Suite, string, error) {
+// loadProblem maps the problem-source flags to a job's ProblemSpec
+// plus a human description. An expression or a SyGuS file goes into
+// the spec as text, so the same code samples or parses it wherever
+// the job runs; examples files and built-in problems resolve here to
+// explicit examples.
+func loadProblem(expr string, inputs, cases int, specFile, slFile, problem string, seed uint64) (server.ProblemSpec, string, error) {
 	sources := 0
 	for _, s := range []string{expr, specFile, slFile, problem} {
 		if s != "" {
@@ -299,45 +299,43 @@ func loadProblem(expr string, inputs, cases int, specFile, slFile, problem strin
 		}
 	}
 	if sources != 1 {
-		return nil, "", fmt.Errorf("exactly one of -expr, -spec, -sl, -problem is required")
+		return server.ProblemSpec{}, "", fmt.Errorf("exactly one of -expr, -spec, -sl, -problem is required")
 	}
+	var suite *testcase.Suite
+	var desc string
 	switch {
+	case expr != "":
+		return server.ProblemSpec{Expr: expr, Inputs: inputs, NumCases: cases, CaseSeed: seed}, expr, nil
 	case slFile != "":
 		data, err := os.ReadFile(slFile)
 		if err != nil {
-			return nil, "", err
+			return server.ProblemSpec{}, "", err
 		}
-		p, err := sygusif.Parse(string(data))
-		if err != nil {
-			return nil, "", err
-		}
-		return p.Suite, fmt.Sprintf("%s: synth-fun %s/%d", slFile, p.Name, len(p.Args)), nil
-	case expr != "":
-		ref, err := prog.Parse(expr, inputs)
-		if err != nil {
-			return nil, "", err
-		}
-		rng := rand.New(rand.NewPCG(seed, 0xbe5466cf34e90c6c))
-		suite := testcase.Generate(func(in []uint64) uint64 { return ref.Output(in) }, inputs, cases, rng)
-		return suite, expr, nil
+		return server.ProblemSpec{Sygus: string(data)}, slFile, nil
 	case specFile != "":
 		data, err := os.ReadFile(specFile)
 		if err != nil {
-			return nil, "", err
+			return server.ProblemSpec{}, "", err
 		}
-		suite, err := parseSpec(string(data))
-		if err != nil {
-			return nil, "", err
+		if suite, err = parseSpec(string(data)); err != nil {
+			return server.ProblemSpec{}, "", err
 		}
-		return suite, specFile, nil
+		desc = specFile
 	default:
 		for _, p := range sygus.Standard(sygus.Options{Seed: seed}) {
 			if p.Name == problem {
-				return p.Suite, p.Name + ": " + p.Desc, nil
+				suite, desc = p.Suite, p.Name+": "+p.Desc
 			}
 		}
-		return nil, "", fmt.Errorf("unknown built-in problem %q (try hd01..hd20, bv01..bv15)", problem)
+		if suite == nil {
+			return server.ProblemSpec{}, "", fmt.Errorf("unknown built-in problem %q (try hd01..hd20, bv01..bv15)", problem)
+		}
 	}
+	ps := server.ProblemSpec{Inputs: suite.NumInputs}
+	for _, c := range suite.Cases {
+		ps.Examples = append(ps.Examples, server.Example{Inputs: c.Inputs, Output: c.Output})
+	}
+	return ps, desc, nil
 }
 
 // parseSpec parses the examples file format.
@@ -394,65 +392,45 @@ func parseWord(s string) (uint64, error) {
 	return v, err
 }
 
-// runRemote submits the problem to a synthd server and waits for the
-// verdict. Expression problems are sent as expr specs (the server
-// samples the cases, deterministically in -seed); .sl files are sent
-// as raw SyGuS text; spec files and built-in problems are resolved
-// locally and sent as explicit examples. On Ctrl-C the job is
-// cancelled on the server before exiting.
-func runRemote(ctx context.Context, baseURL, expr string, inputs, cases int, specFile, slFile, problem, costName string, beta float64, strategy string, budget int64, dialect string, seed uint64, verbose, lint, follow bool) {
-	pspec, desc, err := remoteProblemSpec(expr, inputs, cases, specFile, slFile, problem, seed)
+// remote submits the job spec to a synthd server and waits for the
+// verdict. On Ctrl-C the job is cancelled on the server before
+// exiting.
+func (c *cli) remote(ctx context.Context, baseURL string, spec server.JobSpec, desc string, follow bool) int {
+	cl := client.New(baseURL)
+	v, err := cl.Submit(ctx, spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "synth:", err)
-		os.Exit(1)
+		return c.fail(err)
 	}
-	spec := server.JobSpec{
-		Problem: pspec,
-		Options: server.OptionsSpec{
-			Cost:     costName,
-			Beta:     beta,
-			Strategy: strategy,
-			Budget:   budget,
-			Dialect:  dialect,
-			Seed:     seed,
-		},
-	}
-
-	c := client.New(baseURL)
-	v, err := c.Submit(ctx, spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "synth:", err)
-		os.Exit(1)
-	}
-	if verbose {
-		fmt.Printf("problem: %s\nsubmitted as job %s to %s (status %s)\n", desc, v.ID, baseURL, v.Status)
+	if c.verbose {
+		fmt.Fprintf(c.stdout, "problem: %s\nsubmitted as job %s to %s (status %s)\n", desc, v.ID, baseURL, v.Status)
 	}
 	if !v.Status.Terminal() {
 		if follow {
 			// Best-effort: the live stream drives the progress display,
 			// but the verdict below always comes from the final poll, so
 			// a torn stream degrades the rendering, never the result.
-			if ferr := followJob(ctx, c, v.ID); ferr != nil && ctx.Err() == nil {
-				fmt.Fprintln(os.Stderr, "synth: follow stream:", ferr)
+			if ferr := followJob(ctx, c.stderr, cl, v.ID); ferr != nil && ctx.Err() == nil {
+				fmt.Fprintln(c.stderr, "synth: follow stream:", ferr)
 			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(c.stderr)
 		}
-		v, err = c.Wait(ctx, v.ID, 0)
+		id := v.ID
+		v, err = cl.Wait(ctx, id, 0)
 		if ctx.Err() != nil {
 			// Interrupted: cancel the job server-side with a fresh
-			// context (ours is already dead), then report.
+			// context (ours is already dead), then report. v is nil
+			// when the interrupt cut a poll short.
 			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if _, cerr := c.Cancel(cctx, v.ID); cerr != nil {
-				fmt.Fprintln(os.Stderr, "synth: interrupted; cancel failed:", cerr)
+			if _, cerr := cl.Cancel(cctx, id); cerr != nil {
+				fmt.Fprintln(c.stderr, "synth: interrupted; cancel failed:", cerr)
 			} else {
-				fmt.Fprintf(os.Stderr, "synth: interrupted; job %s cancelled on server\n", v.ID)
+				fmt.Fprintf(c.stderr, "synth: interrupted; job %s cancelled on server\n", id)
 			}
-			os.Exit(130)
+			return 130
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "synth:", err)
-			os.Exit(1)
+			return c.fail(err)
 		}
 	}
 
@@ -460,49 +438,40 @@ func runRemote(ctx context.Context, baseURL, expr string, inputs, cases int, spe
 	case server.StatusCompleted:
 		r := v.Result
 		if !r.Solved {
-			fmt.Printf("FAILED after %d iterations (%d searches, %.0fms)\n",
+			fmt.Fprintf(c.stdout, "FAILED after %d iterations (%d searches, %.0fms)\n",
 				r.Iterations, r.Searches, r.DurationMS)
-			os.Exit(2)
+			return 2
 		}
-		if verbose {
+		if c.verbose {
 			note := ""
 			if v.Cached {
 				note = ", cached"
 			}
-			fmt.Printf("solved in %d iterations (%d searches, %.0fms, seed %d%s)\n",
+			fmt.Fprintf(c.stdout, "solved in %d iterations (%d searches, %.0fms, seed %d%s)\n",
 				r.Iterations, r.Searches, r.DurationMS, r.Seed, note)
 		}
-		fmt.Println(r.Program)
-		if lint {
-			// The server audited the solution at completion time; its
-			// findings, abstract facts, and canonical form ride along on
-			// the result.
-			printLint(os.Stderr, r.Lint)
-			printFacts(os.Stderr, r.Facts)
-			if r.Canonical != "" {
-				fmt.Fprintf(os.Stderr, "canonical (%s): %s\n", r.CanonicalHash, r.Canonical)
-			}
+		fmt.Fprintln(c.stdout, r.Program)
+		if c.lint {
+			printAudit(c.stderr, r.Lint, r.Facts, r.Canonical, r.CanonicalHash)
 		}
+		return 0
 	case server.StatusCancelled:
-		fmt.Println("cancelled on server")
-		os.Exit(130)
+		fmt.Fprintln(c.stdout, "cancelled on server")
+		return 130
 	case server.StatusFailed:
-		fmt.Fprintln(os.Stderr, "synth: job failed:", v.Error)
-		os.Exit(1)
-	default:
-		fmt.Fprintln(os.Stderr, "synth: unexpected job status:", v.Status)
-		os.Exit(1)
+		return c.fail(fmt.Errorf("job failed: %s", v.Error))
 	}
+	return c.fail(fmt.Errorf("unexpected job status: %s", v.Status))
 }
 
 // followJob consumes the job's live telemetry stream (the server's
 // /v1/jobs/{id}/events feed; through a fleet coordinator the same
 // stream survives worker failover) and renders a one-line progress
-// display on stderr: a sparkline of the cost samples so far, the
+// display on w: a sparkline of the cost samples so far, the
 // current and best cost, and the iteration count. Redraws are
 // throttled so a fast search does not flood the terminal. Returns when
 // the terminal event arrives, the stream tears, or ctx ends.
-func followJob(ctx context.Context, c *client.Client, id string) error {
+func followJob(ctx context.Context, w io.Writer, c *client.Client, id string) error {
 	var costs []float64
 	lastDraw := time.Now()
 	draw := func(best, cur, iter float64, force bool) {
@@ -510,7 +479,7 @@ func followJob(ctx context.Context, c *client.Client, id string) error {
 			return
 		}
 		lastDraw = time.Now()
-		fmt.Fprintf(os.Stderr, "\r%-60s cost %5.0f best %5.0f %12.0f iters",
+		fmt.Fprintf(w, "\r%-60s cost %5.0f best %5.0f %12.0f iters",
 			textplot.Spark(costs, 60), cur, best, iter)
 	}
 	var best, cur, iter float64
@@ -532,54 +501,4 @@ func followJob(ctx context.Context, c *client.Client, id string) error {
 		}
 		return nil
 	})
-}
-
-// remoteProblemSpec maps the problem-source flags to a wire
-// ProblemSpec plus a human description.
-func remoteProblemSpec(expr string, inputs, cases int, specFile, slFile, problem string, seed uint64) (server.ProblemSpec, string, error) {
-	sources := 0
-	for _, s := range []string{expr, specFile, slFile, problem} {
-		if s != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return server.ProblemSpec{}, "", fmt.Errorf("exactly one of -expr, -spec, -sl, -problem is required")
-	}
-	switch {
-	case expr != "":
-		// Let the server sample the cases; same generator, same seed,
-		// same suite as a local run.
-		return server.ProblemSpec{Expr: expr, Inputs: inputs, NumCases: cases, CaseSeed: seed}, expr, nil
-	case slFile != "":
-		data, err := os.ReadFile(slFile)
-		if err != nil {
-			return server.ProblemSpec{}, "", err
-		}
-		return server.ProblemSpec{Sygus: string(data)}, slFile, nil
-	default:
-		// Spec files and built-in problems resolve locally to explicit
-		// examples.
-		suite, desc, err := loadProblem("", 0, 0, specFile, "", problem, seed)
-		if err != nil {
-			return server.ProblemSpec{}, "", err
-		}
-		ps := server.ProblemSpec{Inputs: suite.NumInputs}
-		for _, c := range suite.Cases {
-			ps.Examples = append(ps.Examples, server.Example{Inputs: c.Inputs, Output: c.Output})
-		}
-		return ps, desc, nil
-	}
-}
-
-func pickDialect(name string) (*prog.OpSet, bool, error) {
-	switch name {
-	case "full":
-		return prog.FullSet, false, nil
-	case "base":
-		return prog.BaseSet, false, nil
-	case "model":
-		return prog.ModelSet, true, nil
-	}
-	return nil, false, fmt.Errorf("unknown dialect %q", name)
 }

@@ -49,8 +49,8 @@ type SearchHooks struct {
 	EvalCasesTotal       *Counter
 	// PlanCompiles and PlanCacheHits count, respectively, full tape
 	// compiles the plan engine performed and the full compiles it
-	// avoided by re-binding a cached recipe (restarts and checkpoint
-	// restores re-seed from previously seen shapes constantly).
+	// avoided by re-binding a cached recipe (restarts re-seed from
+	// previously seen shapes constantly).
 	// PlanPatches counts dirty tape entries re-lowered incrementally
 	// across proposals, and PlanFusedNodes counts nodes lowered to a
 	// fused form (constant-folded whole or an immediate-operand kernel

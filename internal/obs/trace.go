@@ -2,8 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
-	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -357,6 +358,34 @@ func (t *Tracer) Events() []Event {
 	return events
 }
 
+// Query returns the buffered events (oldest first) that a /tracez
+// query selects: ?event=NAME keeps only the events with that name, and
+// ?n=K the K most recent of those. A malformed or negative K is an
+// error; the front end answers it with a 400.
+func (t *Tracer) Query(q url.Values) ([]Event, error) {
+	n := -1
+	if s := q.Get("n"); s != "" {
+		var err error
+		if n, err = strconv.Atoi(s); err != nil || n < 0 {
+			return nil, errors.New("tracez: malformed n: want a non-negative integer")
+		}
+	}
+	events := t.Events()
+	if name := q.Get("event"); name != "" {
+		kept := events[:0]
+		for _, ev := range events {
+			if ev.Name == name {
+				kept = append(kept, ev)
+			}
+		}
+		events = kept
+	}
+	if n >= 0 && n < len(events) {
+		events = events[len(events)-n:]
+	}
+	return events, nil
+}
+
 // snapshot returns, under one lock, either a copy of the ring (oldest
 // first) or, once the tracer is sealed, its sealed log.
 func (t *Tracer) snapshot() (events []Event, log []byte) {
@@ -455,52 +484,4 @@ func (t *Tracer) SubscriberDrops() uint64 {
 		return 0
 	}
 	return t.drops.subscriber.Load()
-}
-
-// WriteJSONL writes the buffered events (oldest first) to w, one JSON
-// object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range t.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Handler serves the ring buffer as JSONL at GET (the /tracez
-// endpoint). ?n=K limits the response to the K most recent events
-// (400 on a malformed or negative K); ?event=NAME keeps only events
-// with that name (the limit applies after the filter).
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		events := t.Events()
-		if name := r.URL.Query().Get("event"); name != "" {
-			filtered := events[:0]
-			for _, ev := range events {
-				if ev.Name == name {
-					filtered = append(filtered, ev)
-				}
-			}
-			events = filtered
-		}
-		if s := r.URL.Query().Get("n"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 0 {
-				http.Error(w, "tracez: malformed n: want a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			if n < len(events) {
-				events = events[len(events)-n:]
-			}
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-		}
-	})
 }

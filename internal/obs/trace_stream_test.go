@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -263,44 +264,38 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTracerHandlerEventFilterAndBadN checks the rest of the /tracez
+// query: ?event= filters by name, ?n= applies after the filter, and a
+// malformed or negative n is an error.
 func TestTracerHandlerEventFilterAndBadN(t *testing.T) {
 	tr := NewTracer(16)
 	for i := 0; i < 3; i++ {
 		tr.Emit("restart_fire", map[string]any{"i": i})
 		tr.Emit("search_cost", map[string]any{"i": i})
 	}
-	srv := httptest.NewServer(tr.Handler())
-	defer srv.Close()
-
-	resp := mustGet(t, srv.URL+"?event=restart_fire")
-	sc := bufio.NewScanner(strings.NewReader(resp))
-	n := 0
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad line: %v", err)
-		}
+	events, err := tr.Query(url.Values{"event": {"restart_fire"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
 		if ev.Name != "restart_fire" {
 			t.Fatalf("filter leaked %q", ev.Name)
 		}
-		n++
 	}
-	if n != 3 {
-		t.Fatalf("filtered to %d events, want 3", n)
+	if len(events) != 3 {
+		t.Fatalf("filtered to %d events, want 3", len(events))
 	}
 	// Filter composes with ?n=.
-	resp = mustGet(t, srv.URL+"?event=search_cost&n=1")
-	if got := strings.Count(resp, "\n"); got != 1 {
-		t.Fatalf("filter+n returned %d lines, want 1:\n%s", got, resp)
+	events, err = tr.Query(url.Values{"event": {"search_cost"}, "n": {"1"}})
+	if err != nil || len(events) != 1 || events[0].Name != "search_cost" || events[0].Attrs["i"] != 2 {
+		t.Fatalf("filter+n gave %+v (%v), want the last search_cost", events, err)
 	}
-	for _, q := range []string{"?n=abc", "?n=-1", "?n=1.5"} {
-		r, err := http.Get(srv.URL + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s = %d, want 400", q, r.StatusCode)
+	if tr.Len() != 6 {
+		t.Fatalf("Query changed the ring: %d events, want 6", tr.Len())
+	}
+	for _, n := range []string{"abc", "-1", "1.5"} {
+		if events, err := tr.Query(url.Values{"n": {n}}); err == nil || !strings.Contains(err.Error(), "malformed n") {
+			t.Fatalf("?n=%s gave %+v (%v), want a malformed-n error", n, events, err)
 		}
 	}
 }

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -102,39 +99,24 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
+// TestTracerHandler checks the /tracez query the front end serves:
+// ?n=K keeps the K most recent events, oldest first.
 func TestTracerHandler(t *testing.T) {
 	tr := NewTracer(16)
 	for i := 0; i < 6; i++ {
 		tr.Emit(fmt.Sprintf("e%d", i), nil)
 	}
-	srv := httptest.NewServer(tr.Handler())
-	defer srv.Close()
-
-	resp := mustGet(t, srv.URL+"?n=3")
-	sc := bufio.NewScanner(strings.NewReader(resp))
-	n := 0
-	var last Event
-	for sc.Scan() {
-		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-			t.Fatalf("line %d is not JSON: %v", n, err)
-		}
-		n++
-	}
-	if n != 3 || last.Name != "e5" {
-		t.Fatalf("got %d events, last %q; want 3 ending at e5", n, last.Name)
-	}
-}
-
-func mustGet(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
+	events, err := tr.Query(url.Values{"n": {"3"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	if len(events) != 3 || events[0].Name != "e3" || events[2].Name != "e5" {
+		t.Fatalf("?n=3 gave %+v; want e3, e4, e5", events)
 	}
-	return string(body)
+	if events, err := tr.Query(url.Values{"n": {"10"}}); err != nil || len(events) != 6 {
+		t.Fatalf("?n=10 gave %d events (%v); want all 6", len(events), err)
+	}
+	if events, err := tr.Query(nil); err != nil || len(events) != 6 {
+		t.Fatalf("no query gave %d events (%v); want all 6", len(events), err)
+	}
 }

@@ -133,6 +133,31 @@ func TestStringSharesBindings(t *testing.T) {
 	}
 }
 
+// TestStringBindsSharedConstantsPastMaxBody pins the printer's rule
+// for shared constants: inline while the print parses back within
+// MaxBody, bound once when it would not.
+func TestStringBindsSharedConstantsPastMaxBody(t *testing.T) {
+	// Inline, 0x800000000 would print four times and parse as 17 nodes.
+	p := MustParse("c = 0x800000000; a = addq(x, sltq(remq(-6, y), andl(remq(remq(tzcntq(x), 16), c), "+
+		"mull(c, sarl(c, c))))); xorq(a, andq(a, y))", 2)
+	s := p.String()
+	q, err := Parse(s, 2)
+	if err != nil {
+		t.Fatalf("String() = %q does not parse: %v", s, err)
+	}
+	if q.BodyLen() != 14 || strings.Count(s, "0x800000000") != 1 {
+		t.Errorf("String() = %q parses to %d body nodes, want 14 with the constant bound once", s, q.BodyLen())
+	}
+	in := []uint64{0x123456789, 77}
+	if p.Output(in) != q.Output(in) {
+		t.Errorf("round trip of %q changed semantics", s)
+	}
+	// A shared constant that fits inline prints as before.
+	if got := MustParse("c = 5; addq(c, mulq(c, x))", 1).String(); got != "addq(5, mulq(5, x))" {
+		t.Errorf("String() = %q, want the inline form", got)
+	}
+}
+
 func TestFormatConst(t *testing.T) {
 	cases := []struct {
 		v    uint64

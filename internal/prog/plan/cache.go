@@ -36,9 +36,8 @@ type cacheEntry struct {
 	rec       *recipe
 }
 
-// recipeCache amortizes full compiles across restarts and checkpoint
-// restores, which re-seed from identical or previously seen programs
-// constantly. Restart-tree searches reset thousands of times per
+// recipeCache amortizes full compiles across restarts, which re-seed
+// from identical or previously seen programs constantly. Restart-tree searches reset thousands of times per
 // second, so this is a hot map; the bound on shapes across all suites
 // keeps a pathological never-repeating workload from growing it
 // without limit.

@@ -25,9 +25,8 @@
 //
 // Full compiles are amortized by a shape-keyed recipe cache shared by
 // all States on the same suite (restart-heavy searches re-seed from
-// identical or previously seen programs constantly), so a checkpoint
-// Restore or restart usually re-binds a cached tape instead of
-// re-lowering.
+// identical or previously seen programs constantly), so a restart
+// usually re-binds a cached tape instead of re-lowering.
 package plan
 
 import (
@@ -201,8 +200,8 @@ func (e *State) CaseValues(c int, dst []uint64) {
 
 // Reset binds p, compiles it to a full tape (or re-binds a cached
 // recipe for a previously seen shape), and executes the tape to
-// populate every committed column. Used at search start, restarts,
-// and checkpoint restores; the incremental path never needs it.
+// populate every committed column. Used at search start and at
+// restarts; the incremental path never needs it.
 func (e *State) Reset(p *prog.Program) {
 	if p.NumInputs != e.suite.NumInputs {
 		panic("plan: State.Reset program/suite input arity mismatch")

@@ -46,7 +46,10 @@ func inputIndex(name string) int {
 // String renders the program in the paper's textual notation. Nodes
 // used more than once are bound to letters via the sharing form, e.g.
 // "a = notq(x); addq(a, a)"; otherwise a plain nested expression is
-// produced, e.g. "orq(andq(x, y), andq(notq(x), z))".
+// produced, e.g. "orq(andq(x, y), andq(notq(x), z))". Shared constants
+// print inline at each use, and each use parses back as a node of its
+// own; when that would exceed MaxBody they are bound too, so the
+// output always parses.
 func (p *Program) String() string {
 	n := len(p.Nodes)
 	// Count uses of each node among reachable nodes.
@@ -61,8 +64,19 @@ func (p *Program) String() string {
 			uses[nd.Args[a]]++
 		}
 	}
-	// Assign letters to shared instruction nodes in topological order
-	// so bindings appear before their uses.
+	parsed := 0 // body nodes the inline print parses back to
+	for i := p.NumInputs; i < n; i++ {
+		switch {
+		case mask&(uint64(1)<<uint(i)) == 0:
+		case p.Nodes[i].Op == OpConst:
+			parsed += max(1, uses[i])
+		default:
+			parsed++
+		}
+	}
+	bindConsts := parsed > MaxBody
+	// Assign letters to shared nodes in topological order so bindings
+	// appear before their uses.
 	var name [MaxNodes]string
 	var bindings []string
 	next := 0
@@ -71,7 +85,7 @@ func (p *Program) String() string {
 			continue
 		}
 		nd := &p.Nodes[i]
-		if uses[i] > 1 && nd.Op.IsInstruction() {
+		if uses[i] > 1 && (nd.Op.IsInstruction() || bindConsts && nd.Op == OpConst) {
 			nm := bindingName(next)
 			next++
 			bindings = append(bindings, fmt.Sprintf("%s = %s", nm, p.render(i, &name)))

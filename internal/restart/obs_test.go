@@ -10,16 +10,27 @@ import (
 // over the same deterministic factory and requires identical Results:
 // attaching hooks must never perturb the schedule.
 func TestInstrumentBitIdentical(t *testing.T) {
-	for _, spec := range []string{
-		"naive", "luby:100", "fixed:500", "exp:100:2", "innerouter:100:2",
-		"pluby:100", "adaptive:100", "adaptive:100:0:4",
+	for _, tc := range []struct {
+		spec    string
+		workers int // Tree.Workers, for the concurrent executor
+	}{
+		{"naive", 0}, {"luby:100", 0}, {"fixed:500", 0}, {"exp:100:2", 0}, {"innerouter:100:2", 0},
+		{"pluby:100", 0}, {"adaptive:100", 0}, {"adaptive:100", 4},
 	} {
-		bare := MustNew(spec)
+		spec := tc.spec
+		strategy := func() Strategy {
+			s := MustNew(spec)
+			if tc.workers > 0 {
+				s.(*Tree).Workers = tc.workers
+			}
+			return s
+		}
+		bare := strategy()
 		f := fixedFactory(123_457, 900, 40_000, -1)
 		want := bare.Run(f, 200_000)
 
 		o := obs.New()
-		inst := Instrument(MustNew(spec), NewObsHooks(o.Reg, o.Tracer, bare.Name()))
+		inst := Instrument(strategy(), NewObsHooks(o.Reg, o.Tracer, bare.Name()))
 		got := inst.Run(fixedFactory(123_457, 900, 40_000, -1), 200_000)
 
 		if got.Solved != want.Solved || got.Iterations != want.Iterations ||

@@ -1,6 +1,7 @@
 package restart
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -106,21 +107,20 @@ func TestSequentialPanicsOnNonPositiveCutoff(t *testing.T) {
 }
 
 func TestRegistryWorkersSpec(t *testing.T) {
-	tree := MustNew("adaptive:500:0:8").(*Tree)
-	if tree.T0 != 500 || !tree.Adaptive || tree.MaxSearches != 0 || tree.Workers != 8 {
-		t.Errorf("adaptive workers spec parsed wrong: %+v", tree)
+	// A spec never sizes the pool: the tree's workers come from
+	// Tree.Workers alone, and a fourth field is rejected.
+	for _, spec := range []string{"adaptive:500:0", "pluby:500:32"} {
+		if tree := MustNew(spec).(*Tree); tree.Workers != 0 {
+			t.Errorf("New(%q).Workers = %d, want 0", spec, tree.Workers)
+		}
 	}
-	tree = MustNew("pluby:500:32:4").(*Tree)
-	if tree.Adaptive || tree.MaxSearches != 32 || tree.Workers != 4 {
-		t.Errorf("pluby workers spec parsed wrong: %+v", tree)
-	}
-	for _, bad := range []string{"adaptive:500:0:x", "adaptive:500:0:-1", "pluby:500:-2"} {
-		if _, err := New(bad); err == nil {
-			t.Errorf("New(%q) succeeded", bad)
+	for _, bad := range []string{"adaptive:500:0:8", "pluby:500:32:4", "adaptive:500:0:x", "pluby:500:-2"} {
+		if _, err := New(bad); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("New(%q) error %v does not wrap ErrBadSpec", bad, err)
 		}
 	}
 	// Name is executor-independent: comparisons treat both the same.
-	if got := MustNew("adaptive:500:0:8").Name(); got != "adaptive" {
+	if got := (&Tree{T0: 500, Adaptive: true, Workers: 8}).Name(); got != "adaptive" {
 		t.Errorf("concurrent adaptive name = %q", got)
 	}
 }

@@ -25,99 +25,123 @@ var ErrBadSpec = errors.New("bad restart strategy spec")
 //
 //	naive
 //	luby | luby:<t0>
-//	adaptive | adaptive:<t0> | adaptive:<t0>:<maxSearches> | adaptive:<t0>:<maxSearches>:<workers>
-//	pluby | pluby:<t0> | pluby:<t0>:<maxSearches> | pluby:<t0>:<maxSearches>:<workers>
+//	adaptive | adaptive:<t0> | adaptive:<t0>:<maxSearches>
+//	pluby | pluby:<t0> | pluby:<t0>:<maxSearches>
 //	fixed:<cutoff>
 //	exp | exp:<t0> | exp:<t0>:<z>
 //	innerouter | innerouter:<t0> | innerouter:<t0>:<z>
 //
-// maxSearches 0 means unlimited; workers 0 or 1 selects the
-// sequential executor, larger values the concurrent one (the Results
-// are identical either way; see Tree.Workers).
+// maxSearches 0 means unlimited. A spec never sizes the tree's worker
+// pool: the caller sets Tree.Workers (stochsyn copies
+// Options.Workers), so one knob, which a service can cap, decides how
+// many goroutines a run starts.
 //
 // Malformed specs — unknown names, empty fields (trailing or doubled
 // colons), surplus fields, out-of-range values — return an error
 // wrapping ErrBadSpec; New never panics and never silently ignores
 // part of a spec.
 func New(spec string) (Strategy, error) {
-	p, err := newParser(spec)
+	s, err := parse(spec)
 	if err != nil {
 		return nil, err
 	}
-	switch p.name {
+	switch s.name {
 	case "naive":
-		return p.done(Naive{})
+		return Naive{}, nil
 	case "luby":
-		t0, err := p.posInt("t0", DefaultT0)
-		if err != nil {
-			return nil, err
-		}
-		return p.done(NewLuby(t0))
+		return NewLuby(s.n), nil
 	case "adaptive", "pluby":
-		t0, err := p.posInt("t0", DefaultT0)
-		if err != nil {
-			return nil, err
-		}
-		max, err := p.nonNegInt("search cap", 0)
-		if err != nil {
-			return nil, err
-		}
-		workers, err := p.nonNegInt("worker count", 0)
-		if err != nil {
-			return nil, err
-		}
-		return p.done(&Tree{
-			T0:          t0,
-			Adaptive:    p.name == "adaptive",
-			MaxSearches: int(max),
-			Workers:     int(workers),
-		})
+		return &Tree{T0: s.n, Adaptive: s.name == "adaptive", MaxSearches: int(s.max)}, nil
 	case "fixed":
-		if len(p.args) == 0 {
-			return nil, fmt.Errorf("restart: %w: %q: fixed requires a cutoff, e.g. fixed:10000", ErrBadSpec, spec)
-		}
-		cut, err := p.posInt("cutoff", 0)
-		if err != nil {
-			return nil, err
-		}
-		return p.done(NewFixed(cut))
-	case "exp", "innerouter":
-		t0, err := p.posInt("t0", DefaultT0)
-		if err != nil {
-			return nil, err
-		}
-		z, err := p.growthFloat("z", 2)
-		if err != nil {
-			return nil, err
-		}
-		if p.name == "exp" {
-			return p.done(NewExponential(t0, z))
-		}
-		return p.done(NewInnerOuter(t0, z))
+		return NewFixed(s.n), nil
+	case "exp":
+		return NewExponential(s.n, s.z), nil
 	}
-	return nil, fmt.Errorf("restart: %w: unknown strategy %q", ErrBadSpec, p.name)
+	return NewInnerOuter(s.n, s.z), nil
 }
 
-// specParser consumes the colon-separated fields of a strategy spec
-// in order, validating each and rejecting leftovers at the end.
-type specParser struct {
-	spec string
+// CanonicalSpec maps a strategy spec to a canonical textual form with
+// every default made explicit, so that two specs with the same
+// canonical form configure runs that produce identical Results:
+// "adaptive", "adaptive:1000", and "adaptive:1000:0" all canonicalize
+// to "adaptive:1000:0". Services use the canonical form in semantic
+// cache keys where the verbatim spec would fragment the cache.
+// Malformed specs return the same ErrBadSpec-wrapped errors as New.
+func CanonicalSpec(spec string) (string, error) {
+	s, err := parse(spec)
+	if err != nil {
+		return "", err
+	}
+	switch s.name {
+	case "naive":
+		return "naive", nil
+	case "luby", "fixed":
+		return fmt.Sprintf("%s:%d", s.name, s.n), nil
+	case "adaptive", "pluby":
+		return fmt.Sprintf("%s:%d:%d", s.name, s.n, s.max), nil
+	}
+	return fmt.Sprintf("%s:%d:%g", s.name, s.n, s.z), nil
+}
+
+// parsedSpec is a validated strategy spec with every default filled
+// in: the one result New builds from and CanonicalSpec formats.
+type parsedSpec struct {
 	name string
-	args []string
-	next int
+	n    int64   // t0, or fixed's cutoff
+	max  int64   // adaptive and pluby: the search cap
+	z    float64 // exp and innerouter: the growth factor
 }
 
-func newParser(spec string) (*specParser, error) {
+// parse is the strategy grammar: it reads the spec's colon-separated
+// fields in order, validating each, and rejects leftovers.
+func parse(spec string) (parsedSpec, error) {
 	parts := strings.Split(spec, ":")
 	for i, f := range parts {
 		if f == "" {
 			if i == 0 {
-				return nil, fmt.Errorf("restart: %w: empty strategy name in %q", ErrBadSpec, spec)
+				return parsedSpec{}, fmt.Errorf("restart: %w: empty strategy name in %q", ErrBadSpec, spec)
 			}
-			return nil, fmt.Errorf("restart: %w: empty field %d in %q (trailing or doubled colon?)", ErrBadSpec, i, spec)
+			return parsedSpec{}, fmt.Errorf("restart: %w: empty field %d in %q (trailing or doubled colon?)", ErrBadSpec, i, spec)
 		}
 	}
-	return &specParser{spec: spec, name: parts[0], args: parts[1:]}, nil
+	p := &specParser{spec: spec, args: parts[1:]}
+	s := parsedSpec{name: parts[0]}
+	var err error
+	switch s.name {
+	case "naive":
+	case "luby":
+		s.n, err = p.integer("t0", DefaultT0, 1)
+	case "adaptive", "pluby":
+		if s.n, err = p.integer("t0", DefaultT0, 1); err == nil {
+			s.max, err = p.integer("search cap", 0, 0)
+		}
+	case "fixed":
+		if len(p.args) == 0 {
+			return parsedSpec{}, fmt.Errorf("restart: %w: %q: fixed requires a cutoff, e.g. fixed:10000", ErrBadSpec, spec)
+		}
+		s.n, err = p.integer("cutoff", 0, 1)
+	case "exp", "innerouter":
+		if s.n, err = p.integer("t0", DefaultT0, 1); err == nil {
+			s.z, err = p.growthFloat("z", 2)
+		}
+	default:
+		return parsedSpec{}, fmt.Errorf("restart: %w: unknown strategy %q", ErrBadSpec, s.name)
+	}
+	if err != nil {
+		return parsedSpec{}, err
+	}
+	if p.next < len(p.args) {
+		return parsedSpec{}, fmt.Errorf("restart: %w: %q: surplus field %q (%s takes at most %d parameters)",
+			ErrBadSpec, spec, p.args[p.next], s.name, p.next)
+	}
+	return s, nil
+}
+
+// specParser consumes a spec's argument fields in order.
+type specParser struct {
+	spec string
+	args []string
+	next int
 }
 
 // take returns the next argument field, or ok=false when the spec
@@ -131,7 +155,8 @@ func (p *specParser) take() (string, bool) {
 	return f, true
 }
 
-func (p *specParser) posInt(what string, def int64) (int64, error) {
+// integer reads an integer field that must be at least lo (1 or 0).
+func (p *specParser) integer(what string, def, lo int64) (int64, error) {
 	f, ok := p.take()
 	if !ok {
 		return def, nil
@@ -140,23 +165,12 @@ func (p *specParser) posInt(what string, def int64) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("restart: %w: bad %s %q in %q: not an integer", ErrBadSpec, what, f, p.spec)
 	}
-	if v <= 0 {
-		return 0, fmt.Errorf("restart: %w: bad %s in %q: must be positive, got %d", ErrBadSpec, what, p.spec, v)
-	}
-	return v, nil
-}
-
-func (p *specParser) nonNegInt(what string, def int64) (int64, error) {
-	f, ok := p.take()
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(f, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("restart: %w: bad %s %q in %q: not an integer", ErrBadSpec, what, f, p.spec)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("restart: %w: bad %s in %q: must be non-negative, got %d", ErrBadSpec, what, p.spec, v)
+	if v < lo {
+		want := "positive"
+		if lo == 0 {
+			want = "non-negative"
+		}
+		return 0, fmt.Errorf("restart: %w: bad %s in %q: must be %s, got %d", ErrBadSpec, what, p.spec, want, v)
 	}
 	return v, nil
 }
@@ -174,87 +188,6 @@ func (p *specParser) growthFloat(what string, def float64) (float64, error) {
 		return 0, fmt.Errorf("restart: %w: bad %s in %q: must be a finite value > 1, got %g", ErrBadSpec, what, p.spec, v)
 	}
 	return v, nil
-}
-
-// done rejects surplus fields and returns the built strategy.
-func (p *specParser) done(s Strategy) (Strategy, error) {
-	if p.next < len(p.args) {
-		return nil, fmt.Errorf("restart: %w: %q: surplus field %q (%s takes at most %d parameters)",
-			ErrBadSpec, p.spec, p.args[p.next], p.name, p.next)
-	}
-	return s, nil
-}
-
-// CanonicalSpec maps a strategy spec to a canonical textual form:
-// defaults are made explicit and parameters that cannot change results
-// are dropped. Two specs with the same canonical form configure
-// runs that produce identical Results, so services may use the
-// canonical form in semantic cache keys where the verbatim spec would
-// fragment the cache:
-//
-//	"adaptive", "adaptive:1000", "adaptive:1000:0", and
-//	"adaptive:1000:0:8" all canonicalize to "adaptive:1000:0"
-//
-// (the workers field only selects the concurrent tree executor, which
-// reproduces the sequential schedule bit for bit). Malformed specs
-// return the same ErrBadSpec-wrapped errors as New.
-func CanonicalSpec(spec string) (string, error) {
-	p, err := newParser(spec)
-	if err != nil {
-		return "", err
-	}
-	check := func(s string) (string, error) {
-		if p.next < len(p.args) {
-			return "", fmt.Errorf("restart: %w: %q: surplus field %q (%s takes at most %d parameters)",
-				ErrBadSpec, p.spec, p.args[p.next], p.name, p.next)
-		}
-		return s, nil
-	}
-	switch p.name {
-	case "naive":
-		return check("naive")
-	case "luby":
-		t0, err := p.posInt("t0", DefaultT0)
-		if err != nil {
-			return "", err
-		}
-		return check(fmt.Sprintf("luby:%d", t0))
-	case "adaptive", "pluby":
-		t0, err := p.posInt("t0", DefaultT0)
-		if err != nil {
-			return "", err
-		}
-		max, err := p.nonNegInt("search cap", 0)
-		if err != nil {
-			return "", err
-		}
-		// The workers field is parsed for validation but dropped: it
-		// never changes results.
-		if _, err := p.nonNegInt("worker count", 0); err != nil {
-			return "", err
-		}
-		return check(fmt.Sprintf("%s:%d:%d", p.name, t0, max))
-	case "fixed":
-		if len(p.args) == 0 {
-			return "", fmt.Errorf("restart: %w: %q: fixed requires a cutoff, e.g. fixed:10000", ErrBadSpec, spec)
-		}
-		cut, err := p.posInt("cutoff", 0)
-		if err != nil {
-			return "", err
-		}
-		return check(fmt.Sprintf("fixed:%d", cut))
-	case "exp", "innerouter":
-		t0, err := p.posInt("t0", DefaultT0)
-		if err != nil {
-			return "", err
-		}
-		z, err := p.growthFloat("z", 2)
-		if err != nil {
-			return "", err
-		}
-		return check(fmt.Sprintf("%s:%d:%g", p.name, t0, z))
-	}
-	return "", fmt.Errorf("restart: %w: unknown strategy %q", ErrBadSpec, p.name)
 }
 
 // MustNew is New for tests and internal tables; it panics on error.

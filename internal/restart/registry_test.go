@@ -31,15 +31,9 @@ func TestNewValidSpecs(t *testing.T) {
 				t.Errorf("MaxSearches = %d, want 64", tr.MaxSearches)
 			}
 		}},
-		{spec: "adaptive:250:0:8", name: "adaptive", chk: func(t *testing.T, s Strategy) {
-			tr := s.(*Tree)
-			if tr.MaxSearches != 0 || tr.Workers != 8 {
-				t.Errorf("cap/workers: %+v", tr)
-			}
-		}},
-		{spec: "pluby:100:10:2", name: "pluby", chk: func(t *testing.T, s Strategy) {
-			if tr := s.(*Tree); tr.Adaptive {
-				t.Error("pluby spec produced an adaptive tree")
+		{spec: "pluby:100:10", name: "pluby", chk: func(t *testing.T, s Strategy) {
+			if tr := s.(*Tree); tr.Adaptive || tr.MaxSearches != 10 || tr.Workers != 0 {
+				t.Errorf("pluby spec parsed wrong: %+v", tr)
 			}
 		}},
 		{spec: "fixed:10000", name: "fixed(10000)"},
@@ -85,8 +79,6 @@ func TestNewMalformedSpecs(t *testing.T) {
 		{"luby:-3", "must be positive"},
 		{"adaptive:-1", "must be positive"},
 		{"adaptive:100:-1", "must be non-negative"},
-		{"adaptive:100:0:-2", "must be non-negative"}, // negative workers
-		{"adaptive:100:0:two", "not an integer"},
 		{"fixed:0", "must be positive"},
 		{"fixed:-5", "must be positive"},
 		{"fixed:1e6", "not an integer"},
@@ -102,7 +94,12 @@ func TestNewMalformedSpecs(t *testing.T) {
 		{"fixed:100:100", "surplus field"},
 		{"exp:100:2:3", "surplus field"},
 		{"innerouter:100:2:3", "surplus field"},
+		// The tree's worker count is Tree.Workers, never a spec field.
+		{"adaptive:250:0:8", "surplus field"},
+		{"adaptive:100:0:-2", "surplus field"},
+		{"adaptive:100:0:two", "surplus field"},
 		{"adaptive:100:0:4:9", "surplus field"},
+		{"pluby:100:10:2", "surplus field"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.spec, func(t *testing.T) {
@@ -122,5 +119,62 @@ func TestNewMalformedSpecs(t *testing.T) {
 				t.Errorf("New(%q) error %q does not mention %q", tt.spec, err, tt.frag)
 			}
 		})
+	}
+}
+
+// TestCanonicalSpecPinned pins CanonicalSpec's exact output: services
+// key result caches and shard jobs on it, so a spec that was accepted
+// before must keep its canonical string.
+func TestCanonicalSpecPinned(t *testing.T) {
+	for _, tt := range []struct{ spec, want string }{
+		{"naive", "naive"},
+		{"luby", "luby:1000"},
+		{"luby:1", "luby:1"},
+		{"luby:500", "luby:500"},
+		{"luby:1000", "luby:1000"},
+		{"luby:+5", "luby:5"},
+		{"adaptive", "adaptive:1000:0"},
+		{"adaptive:1000", "adaptive:1000:0"},
+		{"adaptive:1000:0", "adaptive:1000:0"},
+		{"adaptive:250", "adaptive:250:0"},
+		{"adaptive:250:64", "adaptive:250:64"},
+		{"adaptive:10:32", "adaptive:10:32"},
+		{"adaptive:0100", "adaptive:100:0"},
+		{"pluby", "pluby:1000:0"},
+		{"pluby:100", "pluby:100:0"},
+		{"pluby:100:10", "pluby:100:10"},
+		{"pluby:500:32", "pluby:500:32"},
+		{"pluby:1:+0", "pluby:1:0"},
+		{"fixed:1", "fixed:1"},
+		{"fixed:007", "fixed:7"},
+		{"fixed:10000", "fixed:10000"},
+		{"fixed:9223372036854775807", "fixed:9223372036854775807"},
+		{"exp", "exp:1000:2"},
+		{"exp:100", "exp:100:2"},
+		{"exp:100:1.5", "exp:100:1.5"},
+		{"exp:100:2e0", "exp:100:2"},
+		{"exp:1:1e19", "exp:1:1e+19"},
+		{"exp:10:2", "exp:10:2"},
+		{"exp:7:2.000", "exp:7:2"},
+		{"exp:7:1.0000001", "exp:7:1.0000001"},
+		{"exp:3:1e300", "exp:3:1e+300"},
+		{"exp:5:0x1p1", "exp:5:2"},
+		{"innerouter", "innerouter:1000:2"},
+		{"innerouter:100:3", "innerouter:100:3"},
+		{"innerouter:10:2", "innerouter:10:2"},
+		{"innerouter:1:1.25", "innerouter:1:1.25"},
+	} {
+		got, err := CanonicalSpec(tt.spec)
+		if err != nil || got != tt.want {
+			t.Errorf("CanonicalSpec(%q) = %q, %v; want %q", tt.spec, got, err, tt.want)
+		}
+		if _, err := New(tt.spec); err != nil {
+			t.Errorf("New(%q): %v", tt.spec, err)
+		}
+	}
+	for _, bad := range []string{"adaptive:1000:0:8", "pluby:100:10:2", "luby:0", "bogus"} {
+		if _, err := CanonicalSpec(bad); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("CanonicalSpec(%q) error %v does not wrap ErrBadSpec", bad, err)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func NewObsHooks(reg *obs.Registry, tracer *obs.Tracer) *obs.SearchHooks {
 	reg.SetHelp("stochsyn_plan_compiles_total",
 		"Full evaluation-plan compiles performed by the plan engine (recipe cache misses).")
 	reg.SetHelp("stochsyn_plan_cache_hits_total",
-		"Full compiles avoided by re-binding a cached recipe at Reset (restarts/restores).")
+		"Full compiles avoided by re-binding a cached recipe at Reset (restarts).")
 	reg.SetHelp("stochsyn_plan_patches_total",
 		"Dirty tape entries re-lowered by the incremental recompile path, one per dirty node per proposal.")
 	reg.SetHelp("stochsyn_plan_fused_nodes_total",

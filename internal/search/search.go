@@ -27,7 +27,7 @@ import (
 // engine is the evaluation engine the search loop drives: a committed
 // root column kept exact for the current program, a journaled proposal
 // path (Begin / EvalRange / Commit / Abort), and a full rebind for
-// restarts and checkpoint restores (Reset). Two implementations exist —
+// restarts (Reset). Two implementations exist —
 // the compiled plan engine (plan.State, the default) and the
 // from-scratch reference engine (prog.RefEval, Options.LegacyEval) —
 // and the loop treats them identically: both produce bit-identical root
@@ -180,14 +180,13 @@ type TracePoint struct {
 // concurrently from different goroutines. A single Run is not safe
 // for concurrent use.
 type Run struct {
-	suite  *testcase.Suite
-	opts   Options
-	ctx    context.Context // nil when the run is not cancellable
-	kind   cost.Kind
-	beta   float64 // normalized
-	rng    *rand.Rand
-	rngSrc *rand.PCG
-	mut    *mutate.Mutator
+	suite *testcase.Suite
+	opts  Options
+	ctx   context.Context // nil when the run is not cancellable
+	kind  cost.Kind
+	beta  float64 // normalized
+	rng   *rand.Rand
+	mut   *mutate.Mutator
 
 	cur   *prog.Program
 	cost  float64 // correctness cost, plus the size term in MinimizeSize mode
@@ -244,17 +243,15 @@ func New(suite *testcase.Suite, opts Options) *Run {
 	if opts.Set == nil {
 		opts.Set = prog.FullSet
 	}
-	src := rand.NewPCG(opts.Seed, 0x5f3759df)
 	r := &Run{
-		suite:  suite,
-		opts:   opts,
-		ctx:    opts.Ctx,
-		kind:   opts.Cost,
-		beta:   cost.NormalizeBeta(opts.Beta, suite.Len()),
-		rng:    rand.New(src),
-		rngSrc: src,
-		mut:    mutate.New(opts.Set, suite, opts.Redundancy),
-		gap:    1,
+		suite: suite,
+		opts:  opts,
+		ctx:   opts.Ctx,
+		kind:  opts.Cost,
+		beta:  cost.NormalizeBeta(opts.Beta, suite.Len()),
+		rng:   rand.New(rand.NewPCG(opts.Seed, 0x5f3759df)),
+		mut:   mutate.New(opts.Set, suite, opts.Redundancy),
+		gap:   1,
 	}
 	r.obsHooks = opts.Obs
 	r.obsIters = -1 // force the first publish even at iteration 0

@@ -235,9 +235,8 @@ func TestCanonicalCacheKeySemantics(t *testing.T) {
 		t.Error("duplicated examples changed the canonical key")
 	}
 
-	// Equivalent strategy spellings collide; the workers field of the
-	// adaptive spec is results-neutral and must be dropped.
-	for _, spec := range []string{"adaptive", "adaptive:1000", "adaptive:1000:0", "adaptive:1000:0:8"} {
+	// Equivalent strategy spellings collide.
+	for _, spec := range []string{"adaptive", "adaptive:1000", "adaptive:1000:0"} {
 		o := base
 		o.Strategy = spec
 		if got := ckey(p, o); got != baseKey {

@@ -48,9 +48,8 @@ func CacheKey(p *stochsyn.Problem, opts stochsyn.Options) (string, error) {
 //     drops exact duplicates — a synthesized program either matches an
 //     example set or it doesn't, regardless of order or repetition;
 //   - canonicalizes the strategy spec via restart.CanonicalSpec, so
-//     "adaptive", "adaptive:1000", and "adaptive:1000:0:8" share a key
-//     (defaults made explicit, the results-neutral workers field
-//     dropped).
+//     "adaptive", "adaptive:1000", and "adaptive:1000:0" share a key
+//     (defaults made explicit).
 //
 // A hit under this key returns a Result whose Program provably solves
 // the submitted example set. The run counters (Iterations, Searches)

@@ -479,6 +479,7 @@ func TestSubmitBodyLimits(t *testing.T) {
 		{name: "bad-expr", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: server.ProblemSpec{Expr: "frobq(x)", Inputs: 1}}), code: 400, msg: "frobq"},
 		{name: "bad-cost", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: xor, Options: server.OptionsSpec{Cost: "bogus"}}), code: 400, msg: "bogus"},
 		{name: "bad-strategy", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: xor, Options: server.OptionsSpec{Strategy: "fixed:-1"}}), code: 400, msg: "fixed:-1"},
+		{name: "strategy-workers-field", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: xor, Options: server.OptionsSpec{Strategy: "adaptive:1000:0:8"}}), code: 400, msg: `surplus field "8"`},
 		{name: "bad-timeout", method: post, path: "/v1/jobs", body: spec(server.JobSpec{Problem: xor, TimeoutMS: -5}), code: 400, msg: "timeout"},
 		{name: "oversized", method: post, path: "/v1/jobs", body: huge, code: 413, msg: strconv.Itoa(server.MaxSpecBytes)},
 		{name: "malformed", method: post, path: "/v1/jobs", body: `{"problem": {"expr": "xorq(x, y)", "inputs": 2}`, code: 400, msg: "bad job spec"},
@@ -494,6 +495,7 @@ func TestSubmitBodyLimits(t *testing.T) {
 		{name: "unknown-status", method: get, path: "/v1/jobs?status=bogus", code: 400,
 			msg: `unknown status "bogus" (want one of queued, running, completed, cancelled, failed)`},
 		{name: "malformed-last-event-id", method: get, path: "/v1/jobs/{known}/events", lastEventID: "not-a-seq", code: 400, msg: "Last-Event-ID"},
+		{name: "tracez-malformed-n", method: get, path: "/tracez?n=abc", code: 400, msg: "tracez: malformed n"},
 	}
 
 	synthd := map[string]server.APIError{}

@@ -79,7 +79,7 @@ func Frontend(be Backend, o *obs.Obs) http.Handler {
 		writeJSON(w, http.StatusOK, be.Stats(r.Context()))
 	}))
 	mux.Handle("GET /metrics", be.Metrics())
-	mux.Handle("GET /tracez", o.Tracer.Handler())
+	mux.HandleFunc("GET /tracez", tracez(o.Tracer))
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -203,6 +203,25 @@ func (f *frontend) events(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	obs.ServeEventStream(w, r, t, after, "job_finished")
+}
+
+// tracez serves the events of t that the query selects (Tracer.Query)
+// as JSONL; a malformed ?n= is a 400.
+func tracez(t *obs.Tracer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		events, err := t.Query(r.URL.Query())
+		if err != nil {
+			writeError(w, &Error{http.StatusBadRequest, err.Error()})
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for _, ev := range events {
+			if enc.Encode(ev) != nil {
+				return
+			}
+		}
+	}
 }
 
 // statusWriter captures the response code for the request metrics.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"stochsyn/internal/obs"
 	"stochsyn/internal/server"
 )
 
@@ -165,4 +166,42 @@ func mustGET(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestTracez checks that /tracez serves the events its query selects
+// (Tracer.Query) as JSONL and answers a malformed n with an APIError
+// 400.
+func TestTracez(t *testing.T) {
+	o := obs.New()
+	srv, ts, _ := newTestServer(t, server.Config{Workers: 1, Obs: o})
+	defer ts.Close()
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		o.Tracer.Emit("restart_fire", map[string]any{"i": i})
+		o.Tracer.Emit("search_cost", map[string]any{"i": i})
+	}
+	var evs []obs.Event
+	sc := bufio.NewScanner(strings.NewReader(mustGET(t, ts.URL+"/tracez?event=search_cost&n=2")))
+	for sc.Scan() {
+		var ev obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("line %q is not JSON: %v", sc.Text(), err)
+		}
+		evs = append(evs, ev)
+	}
+	if len(evs) != 2 || evs[0].Name != "search_cost" || evs[0].Attrs["i"] != 1.0 || evs[1].Attrs["i"] != 2.0 {
+		t.Errorf("?event=search_cost&n=2 gave %+v, want the last two search_cost events", evs)
+	}
+	for _, q := range []string{"?n=abc", "?n=-1", "?n=1.5"} {
+		resp, err := http.Get(ts.URL + "/tracez" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr server.APIError
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(apiErr.Error, "malformed n") {
+			t.Errorf("GET /tracez%s = %d %+v (%v), want 400 naming the malformed n", q, resp.StatusCode, apiErr, err)
+		}
+	}
 }

@@ -383,7 +383,7 @@ func TestCanonicalCacheHit(t *testing.T) {
 
 	// Reordered + duplicated examples, equivalent strategy spelling:
 	// structurally distinct, canonically equal.
-	hit, err := c.Submit(ctx, spec([]int{3, 0, 5, 2, 4, 1, 0}, "adaptive:1000:0:8"))
+	hit, err := c.Submit(ctx, spec([]int{3, 0, 5, 2, 4, 1, 0}, "adaptive:1000:0"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 #!/bin/sh
 # server_smoke.sh boots synthd on an ephemeral port, submits a small
 # SyGuS job through `synth -remote`, checks the server solves it,
-# scrapes /metrics to confirm the observability endpoints are live, and
-# streams a job's events live, then again from its sealed log.
+# checks that `synth -expr` prints the same program locally and through
+# the server, scrapes /metrics to confirm the observability endpoints
+# are live, and streams a job's events live, then again from its sealed
+# log.
 # Run via `make server-smoke`.
 set -eu
 
@@ -58,6 +60,22 @@ case "$out" in
 	exit 1
 	;;
 esac
+
+# One spec, one answer: synth turns the flags into the same job spec
+# in both modes, so a local run and a synthd run print the same program.
+for mode in local remote; do
+	set -- -expr "andq(x, subq(x, 1))" -seed 1
+	[ "$mode" = remote ] && set -- -remote "http://$addr" "$@"
+	"$tmp/synth" "$@" > "$tmp/$mode.out" || {
+		echo "server-smoke: $mode synth -expr failed" >&2
+		exit 1
+	}
+done
+cmp -s "$tmp/local.out" "$tmp/remote.out" || {
+	echo "server-smoke: local synth printed $(cat "$tmp/local.out"), synth -remote $(cat "$tmp/remote.out")" >&2
+	exit 1
+}
+echo "server-smoke: local and remote synth agree on $(cat "$tmp/local.out")"
 
 # The job above ran real searches, so the scrape must carry the core
 # series with non-empty sample lines (name[{labels}] value).

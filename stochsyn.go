@@ -169,7 +169,9 @@ type Options struct {
 	// Strategy is a restart strategy spec: "adaptive" (default),
 	// "luby", "naive", "pluby", "fixed:<n>", "exp:<t0>:<z>", or
 	// "innerouter:<t0>:<z>"; "adaptive:<t0>" and "luby:<t0>" override
-	// the base cutoff.
+	// the base cutoff, and "adaptive:<t0>:<maxSearches>" (likewise
+	// "pluby") caps the tree's searches. A spec never sets the tree's
+	// worker count; Workers does.
 	Strategy string
 	// Budget is the total iteration budget across all restarts
 	// (default 10,000,000).
@@ -179,15 +181,15 @@ type Options struct {
 	// Seed makes the synthesis deterministic (default 1).
 	Seed uint64
 	// Workers sets the number of worker goroutines used to execute
-	// the doubling-tree strategies ("adaptive" and "pluby"): 0 or 1
-	// runs sequentially, larger values run the tree's steps on that
-	// many cores, each waiting only on the tree nodes it touches. The
-	// concurrent executor reproduces the sequential schedule bit for
-	// bit, so Results stay deterministic in Seed regardless of
-	// Workers. Strategies that are inherently sequential (naive,
-	// luby, fixed, exp, innerouter) ignore this knob under
-	// Synthesize; see SynthesizeParallel for the multi-core naive
-	// path.
+	// the doubling-tree strategies ("adaptive" and "pluby"), and is
+	// the only setting that does: 0 or 1 runs sequentially, larger
+	// values run the tree's steps on that many cores, each waiting
+	// only on the tree nodes it touches. The concurrent executor
+	// reproduces the sequential schedule bit for bit, so Results stay
+	// deterministic in Seed regardless of Workers. Strategies that are
+	// inherently sequential (naive, luby, fixed, exp, innerouter)
+	// ignore this knob under Synthesize; see SynthesizeParallel for
+	// the multi-core naive path.
 	Workers int
 	// Obs, when non-nil, attaches the observability sink (metrics
 	// registry and event tracer, see internal/obs) to the run: the
@@ -337,6 +339,13 @@ func Synthesize(p *Problem, opts Options) (Result, error) {
 // expires the Result is bit-identical to Synthesize's for the same
 // Options.
 func SynthesizeContext(ctx context.Context, p *Problem, opts Options) (Result, error) {
+	return synthesize(ctx, p, opts, 0)
+}
+
+// synthesize is the one run path behind SynthesizeContext and
+// SynthesizeParallelContext. workers 0 runs opts as given; a positive
+// workers replaces opts.Workers and runs "naive" on the parallel pool.
+func synthesize(ctx context.Context, p *Problem, opts Options, workers int) (Result, error) {
 	o, err := opts.normalize()
 	if err != nil {
 		return Result{}, err
@@ -344,30 +353,17 @@ func SynthesizeContext(ctx context.Context, p *Problem, opts Options) (Result, e
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	kind, err := cost.ParseKind(string(o.Cost))
-	if err != nil {
-		return Result{}, err
-	}
-	set, redundancy, err := dialectSet(o.Dialect)
-	if err != nil {
-		return Result{}, err
+	if workers > 0 {
+		o.Workers = workers
 	}
 	strat, err := o.strategy()
 	if err != nil {
 		return Result{}, err
 	}
-	sctx := ctx
-	if sctx != nil && sctx.Done() == nil {
-		sctx = nil // never-cancelled: skip the inner-loop polls entirely
+	if _, ok := strat.(restart.Naive); ok && workers > 0 {
+		strat = &restart.ParallelNaive{Workers: workers}
 	}
-	sopts := search.Options{
-		Set:        set,
-		Cost:       kind,
-		Beta:       o.Beta,
-		Redundancy: redundancy,
-		Seed:       o.Seed,
-		Ctx:        sctx,
-	}
+	sopts := o.searchOptions(ctx)
 	if o.Obs != nil {
 		sopts.Obs = search.NewObsHooks(o.Obs.Reg, o.Obs.Tracer)
 		strat = restart.Instrument(strat,
@@ -430,18 +426,28 @@ func auditSolution(sol *prog.Program, suite *testcase.Suite) (lint, facts []stri
 	return lint, facts, canon.String(), analysis.Hash(canon)
 }
 
+// searchOptions resolves the normalized options to the search
+// layer's (normalize has validated the cost and dialect names). A
+// context that is never cancelled is dropped, so the inner loop skips
+// its polls entirely.
+func (o Options) searchOptions(ctx context.Context) search.Options {
+	kind, _ := cost.ParseKind(string(o.Cost))
+	set, redundancy, _ := dialectSet(o.Dialect)
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
+	return search.Options{Set: set, Cost: kind, Beta: o.Beta, Redundancy: redundancy, Seed: o.Seed, Ctx: ctx}
+}
+
 // strategy resolves the normalized options to a restart strategy,
-// applying the Workers knob to the doubling-tree strategies (the only
-// ones with a deterministic concurrent executor).
+// copying Workers to the doubling-tree strategies (the only ones with
+// a deterministic concurrent executor).
 func (o Options) strategy() (restart.Strategy, error) {
 	strat, err := restart.New(o.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	if tree, ok := strat.(*restart.Tree); ok && o.Workers > 1 && tree.Workers == 0 {
+	if tree, ok := strat.(*restart.Tree); ok {
 		tree.Workers = o.Workers
 	}
-	return strat, nil
+	return strat, err
 }
 
 // OptimizeResult reports a superoptimization outcome.
@@ -466,6 +472,12 @@ type OptimizeResult struct {
 	Seed uint64
 	// Duration is the wall-clock time spent searching.
 	Duration time.Duration
+	// Lint, Facts, Canonical, and CanonicalHash audit Program as
+	// Result's fields of the same names audit a solution.
+	Lint          []string
+	Facts         []string
+	Canonical     string
+	CanonicalHash uint64
 }
 
 // Optimize performs STOKE-style superoptimization: starting from a
@@ -489,12 +501,7 @@ func OptimizeContext(ctx context.Context, p *Problem, start string, opts Options
 	if err != nil {
 		return OptimizeResult{}, err
 	}
-	kind, err := cost.ParseKind(string(o.Cost))
-	if err != nil {
-		return OptimizeResult{}, err
-	}
-	set, redundancy, err := dialectSet(o.Dialect)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return OptimizeResult{}, err
 	}
 	init, err := prog.Parse(start, p.suite.NumInputs)
@@ -505,20 +512,9 @@ func OptimizeContext(ctx context.Context, p *Problem, start string, opts Options
 	if !cost.Solves(init, p.suite, vals[:]) {
 		return OptimizeResult{}, errors.New("stochsyn: start program does not match the problem")
 	}
-	sctx := ctx
-	if sctx != nil && sctx.Done() == nil {
-		sctx = nil // never-cancelled: skip the inner-loop polls entirely
-	}
-	run := search.New(p.suite, search.Options{
-		Set:          set,
-		Cost:         kind,
-		Beta:         o.Beta,
-		Redundancy:   redundancy,
-		Seed:         o.Seed,
-		Init:         init,
-		MinimizeSize: true,
-		Ctx:          sctx,
-	})
+	sopts := o.searchOptions(ctx)
+	sopts.Init, sopts.MinimizeSize = init, true
+	run := search.New(p.suite, sopts)
 	began := time.Now()
 	used, _ := run.Step(o.Budget)
 	best := run.Best()
@@ -527,11 +523,12 @@ func OptimizeContext(ctx context.Context, p *Problem, start string, opts Options
 		Size:       best.BodyLen(),
 		StartSize:  init.BodyLen(),
 		Iterations: used,
-		Cancelled:  sctx != nil && sctx.Err() != nil,
+		Cancelled:  sopts.Ctx != nil && sopts.Ctx.Err() != nil,
 		Seed:       o.Seed,
 		Duration:   time.Since(began),
 	}
 	res.Improved = res.Size < res.StartSize
+	res.Lint, res.Facts, res.Canonical, res.CanonicalHash = auditSolution(best, p.suite)
 	return res, nil
 }
 

@@ -259,6 +259,30 @@ func TestPropertySolutionsAlwaysMatch(t *testing.T) {
 	}
 }
 
+// TestSolutionSharingAConstantParses is the seed of
+// TestPropertySolutionsAlwaysMatch whose solution uses 0x800000000 in
+// four places: printed inline it would parse back as 17 body nodes,
+// past MaxBody, so the printer binds the constant once.
+func TestSolutionSharingAConstantParses(t *testing.T) {
+	const seed = 0xa5d1214a3ef1e9ed
+	p, err := ProblemFromFunc(func(in []uint64) uint64 { return in[0] &^ in[1] }, 2, 30, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Synthesize(p, Options{Seed: seed%100 + 1, Budget: 1_000_000})
+	if err != nil || !res.Solved {
+		t.Fatalf("Synthesize = %+v, %v; want solved", res, err)
+	}
+	prog, err := ParseProgram(res.Program, 2)
+	if err != nil {
+		t.Fatalf("solution %q does not parse: %v", res.Program, err)
+	}
+	if !prog.Matches(p) || prog.Size() != 14 || strings.Count(res.Program, "0x800000000") != 1 {
+		t.Errorf("solution %q: %d nodes, matches=%v; want 14 nodes with 0x800000000 bound once",
+			res.Program, prog.Size(), prog.Matches(p))
+	}
+}
+
 func TestOptimizeShrinksProgram(t *testing.T) {
 	// Specify x*3 via a deliberately bloated but correct start
 	// program; optimization should find something smaller, and the
