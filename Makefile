@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test purego race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-check perfbench-test server-smoke fleet-smoke
+.PHONY: ci build vet fmt lint test purego race exec-stress short bench-exec bench-obs bench-eval bench-eqsat bench-check bench-eqsat-check perfbench-test server-smoke fleet-smoke
 
 # gate runs one CI stage, echoing "ci: <name> ok" on success and
 # "ci: FAIL at gate <name>" (then exiting nonzero) on failure, so a
@@ -25,12 +25,13 @@ ci:
 	$(call gate,purego,$(MAKE) -s purego)
 	$(call gate,eqsat-smoke,$(GO) test -run TestEqSatSmoke -count=1 ./internal/eqsat/)
 	$(call gate,bench-eval,$(MAKE) -s bench-check)
+	$(call gate,bench-eqsat,$(MAKE) -s bench-eqsat-check)
 	$(call gate,perfbench-test,$(MAKE) -s perfbench-test)
 	$(call gate,race,$(GO) test -race ./...)
 	$(call gate,exec-stress,$(MAKE) -s exec-stress)
 	$(call gate,server-smoke,sh scripts/server_smoke.sh)
 	$(call gate,fleet-smoke,sh scripts/fleet_smoke.sh)
-	@echo "ci: all gates passed (build vet fmt lint fuzz[5 corpora] purego[scalar kernels + arm64 vet] eqsat-smoke bench-eval perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
+	@echo "ci: all gates passed (build vet fmt lint fuzz[5 corpora] purego[scalar kernels + arm64 vet] eqsat-smoke bench-eval bench-eqsat perfbench-test[vet+test] race exec-stress server-smoke fleet-smoke)"
 
 build:
 	$(GO) build ./...
@@ -108,8 +109,10 @@ bench-eval:
 # and their hybrid on both suites (superopt references + expression
 # fixtures) and write BENCH_eqsat.json. Every row is computed twice;
 # the bench refuses to write the report on any divergence.
+BENCH_FLAGS_eqsat = -exp eqsat -budget 2000000 -problems 8
+
 bench-eqsat:
-	$(GO) run ./cmd/bench -exp eqsat -budget 2000000 -problems 8
+	$(GO) run ./cmd/bench $(BENCH_FLAGS_eqsat)
 
 # bench-check runs the eval experiment as bench-eval does, but from a
 # temporary working directory that it then deletes, report and all. ci
@@ -118,6 +121,17 @@ bench-eqsat:
 bench-check:
 	@tmp="$$(mktemp -d)" && $(GO) build -o "$$tmp/bench" ./cmd/bench && \
 		(cd "$$tmp" && ./bench $(BENCH_FLAGS_eval)); st=$$?; rm -rf "$$tmp"; exit $$st
+
+# bench-eqsat-check runs the eqsat experiment as bench-eqsat does, from a
+# temporary working directory that it then deletes, and fails unless the
+# report it writes equals the committed BENCH_eqsat.json in every line
+# but "date", so the committed report cannot drift from the code.
+bench-eqsat-check:
+	@tmp="$$(mktemp -d)" && $(GO) build -o "$$tmp/bench" ./cmd/bench && \
+		(cd "$$tmp" && ./bench $(BENCH_FLAGS_eqsat)) && \
+		grep -v '^  "date": ' BENCH_eqsat.json > "$$tmp/want" && \
+		grep -v '^  "date": ' "$$tmp/BENCH_eqsat.json" > "$$tmp/got" && \
+		diff "$$tmp/want" "$$tmp/got"; st=$$?; rm -rf "$$tmp"; exit $$st
 
 # Vet and run the benchmark harness's own tests. cmd/perfbench is a
 # module of its own (it replaces stochsyn with the repo root), so the

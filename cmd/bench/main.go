@@ -25,8 +25,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -278,8 +280,8 @@ func runCompare(cfg benchConfig) {
 		}
 	}
 	fmt.Println("tuned betas:")
-	for k, v := range optimal {
-		fmt.Printf("  %-24s %g\n", k, v)
+	for _, k := range slices.Sorted(maps.Keys(optimal)) {
+		fmt.Printf("  %-24s %g\n", k, optimal[k])
 	}
 
 	res := experiment.Compare(experiment.CompareConfig{
@@ -315,15 +317,16 @@ func runCompare(cfg benchConfig) {
 func runPlateau(cfg benchConfig) {
 	bench := loadBench(cfg)
 	var prob *experiment.Problem
+	names := make([]string, len(bench.Problems))
 	for i := range bench.Problems {
-		if bench.Problems[i].Name == cfg.problem {
+		names[i] = bench.Problems[i].Name
+		if prob == nil && names[i] == cfg.problem {
 			prob = &bench.Problems[i]
-			break
 		}
 	}
 	if prob == nil {
-		prob = &bench.Problems[0]
-		fmt.Printf("problem %q not in benchmark; using %s\n", cfg.problem, prob.Name)
+		fatal(fmt.Errorf("problem %q not among the %d loaded problems (%s); raise -problems or pick one of those",
+			cfg.problem, len(names), strings.Join(names, ", ")))
 	}
 	kind, err := cost.ParseKind(cfg.costSel)
 	if err != nil {

@@ -26,14 +26,13 @@
 //  3. eval: direct calls to the per-case evaluator
 //     (*prog.Program).Eval are confined to internal/prog (its home and
 //     the reference engine prog.RefEval), internal/cost (Of and
-//     Solves), and internal/prog/analysis (constant folding over
-//     concrete values). Everything else must evaluate through the plan
+//     Solves), internal/prog/analysis (constant folding over concrete
+//     values) and internal/mutate (the merge move's probe when no
+//     engine is bound). Everything else must evaluate through the plan
 //     engine (plan.State) or the cost layer, so the engine stays the
-//     single hot-path door and its reuse telemetry stays honest. The
-//     sanctioned fallback prog.EvalInto may additionally be called
-//     from internal/mutate (the merge move's probe when no engine is
-//     bound). Test files are exempt: differential tests deliberately
-//     compare the engine against Program.Eval.
+//     single hot-path door and its reuse telemetry stays honest. Test
+//     files are exempt: differential tests deliberately compare the
+//     engine against Program.Eval.
 //
 //  4. rules: every internal/prog/analysis Rule composite literal must
 //     carry a literal, unique Name string. The name is the join key
@@ -63,7 +62,9 @@
 //     with each row serving exactly its scalar row's forms; only the
 //     pseudo-ops may fall back to scalar.
 //     Tables are again classified by element signature and content,
-//     not variable name.
+//     not variable name. Both tables are now generated from the
+//     per-opcode rows of cmd/genkernels; the check stays, as the guard
+//     on what the generator writes.
 //
 // Usage:
 //
@@ -514,19 +515,13 @@ var evalAllowed = map[string]bool{
 	"internal/prog":          true, // home of the evaluator and of RefEval
 	"internal/cost":          true, // Of, Solves
 	"internal/prog/analysis": true, // constant folding over concrete values
+	"internal/mutate":        true, // merge probe when no engine is bound
 }
 
-// evalIntoAllowed lists packages that may call the sanctioned
-// fallback prog.EvalInto.
-var evalIntoAllowed = map[string]bool{
-	"internal/prog":   true, // definition site
-	"internal/mutate": true, // merge probe when no engine is bound
-}
-
-// checkEvalContainment reports calls to (*prog.Program).Eval and
-// prog.EvalInto from packages outside their containment lists. Only
-// non-test files are loaded into tp, so differential tests comparing
-// the engine against Program.Eval are exempt by construction.
+// checkEvalContainment reports calls to (*prog.Program).Eval from
+// packages outside evalAllowed. Only non-test files are loaded into tp,
+// so differential tests comparing the engine against Program.Eval are
+// exempt by construction.
 func checkEvalContainment(fset *token.FileSet, tp *typedPkg, modPath, importPath string) []string {
 	rel := strings.TrimPrefix(importPath, modPath+"/")
 	progPath := modPath + "/internal/prog"
@@ -555,17 +550,6 @@ func checkEvalContainment(fset *token.FileSet, tp *typedPkg, modPath, importPath
 				if !evalAllowed[rel] {
 					findings = append(findings, fmt.Sprintf(
 						"%s: direct (*prog.Program).Eval call outside its containment list; evaluate through plan.State or the cost layer (see cmd/repolint check 3)",
-						fset.Position(se.Sel.Pos())))
-				}
-				return true
-			}
-			// prog.EvalInto shows up as a package-qualified selector
-			// whose Sel resolves to the function object.
-			if se.Sel.Name == "EvalInto" {
-				if obj, ok := info.Uses[se.Sel].(*types.Func); ok &&
-					obj.Pkg() != nil && obj.Pkg().Path() == progPath && !evalIntoAllowed[rel] {
-					findings = append(findings, fmt.Sprintf(
-						"%s: prog.EvalInto call outside internal/mutate; evaluate through plan.State or the cost layer (see cmd/repolint check 3)",
 						fset.Position(se.Sel.Pos())))
 				}
 			}

@@ -116,7 +116,7 @@ type Eval interface {
 // (straight from the plan engine's value matrix) — the values are
 // identical to a fresh evaluation, so binding never changes proposals,
 // only their cost. Pass nil to detach (an unbound mutator evaluates
-// per probe with prog.EvalInto); callers must pass an untyped nil,
+// per probe with Program.Eval); callers must pass an untyped nil,
 // never a nil concrete engine pointer.
 func (m *Mutator) BindEval(es Eval) { m.es = es }
 
@@ -346,7 +346,7 @@ func (m *Mutator) merge(p *prog.Program, rng *rand.Rand) bool {
 			// row instead of re-evaluating the whole program.
 			m.es.CaseValues(ci, m.vals[:n])
 		} else {
-			prog.EvalInto(p, m.suite.Cases[ci].Inputs, m.vals[:n])
+			p.Eval(m.suite.Cases[ci].Inputs, m.vals[:n])
 		}
 		for i := 0; i < n; i++ {
 			m.sig[i][k] = m.vals[i]

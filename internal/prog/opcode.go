@@ -8,6 +8,8 @@
 // canonical textual form, and a parser for that form.
 package prog
 
+//go:generate go run stochsyn/cmd/genkernels
+
 import "fmt"
 
 // Op identifies an operation. The zero value is OpInvalid so that
@@ -95,68 +97,13 @@ const NumOps = int(numOps)
 // MaxArity is the largest arity of any operation.
 const MaxArity = 2
 
-// opInfo describes one opcode.
+// opInfo describes one opcode. The table of them, opTable, and the
+// opcodes' semantics, evalOp, are generated from one row per opcode by
+// cmd/genkernels, which also writes the plan compiler's kernels.
 type opInfo struct {
-	name  string
-	arity int
-}
-
-var opTable = [numOps]opInfo{
-	OpInvalid: {"invalid", 0},
-	OpInput:   {"input", 0},
-	OpConst:   {"const", 0},
-
-	OpAdd:  {"addq", 2},
-	OpSub:  {"subq", 2},
-	OpMul:  {"mulq", 2},
-	OpDivU: {"divq", 2},
-	OpRemU: {"remq", 2},
-	OpDivS: {"idivq", 2},
-	OpRemS: {"iremq", 2},
-	OpAnd:  {"andq", 2},
-	OpOr:   {"orq", 2},
-	OpXor:  {"xorq", 2},
-	OpShl:  {"shlq", 2},
-	OpShr:  {"shrq", 2},
-	OpSar:  {"sarq", 2},
-	OpRol:  {"rolq", 2},
-	OpRor:  {"rorq", 2},
-	OpEq:   {"eqq", 2},
-	OpUlt:  {"ultq", 2},
-	OpSlt:  {"sltq", 2},
-
-	OpNot:    {"notq", 1},
-	OpNeg:    {"negq", 1},
-	OpBswap:  {"bswapq", 1},
-	OpPopcnt: {"popcntq", 1},
-	OpClz:    {"lzcntq", 1},
-	OpCtz:    {"tzcntq", 1},
-	OpSext8:  {"sextbq", 1},
-	OpSext16: {"sextwq", 1},
-	OpSext32: {"sextlq", 1},
-	OpZext8:  {"zextbq", 1},
-	OpZext16: {"zextwq", 1},
-	OpZext32: {"zextlq", 1},
-
-	OpAdd32: {"addl", 2},
-	OpSub32: {"subl", 2},
-	OpMul32: {"mull", 2},
-	OpAnd32: {"andl", 2},
-	OpOr32:  {"orl", 2},
-	OpXor32: {"xorl", 2},
-	OpShl32: {"shll", 2},
-	OpShr32: {"shrl", 2},
-	OpSar32: {"sarl", 2},
-
-	OpNot32: {"notl", 1},
-	OpNeg32: {"negl", 1},
-
-	OpMAnd: {"and", 2},
-	OpMOr:  {"or", 2},
-	OpMXor: {"xor", 2},
-	OpMNot: {"not", 1},
-	OpMShl: {"shl", 1},
-	OpMShr: {"shr", 1},
+	name        string
+	arity       int
+	commutative bool
 }
 
 // String returns the mnemonic for the opcode.
@@ -175,6 +122,20 @@ func (op Op) Arity() int {
 	}
 	return opTable[op].arity
 }
+
+// Commutative reports whether op(a, b) == op(b, a) for all values:
+// Canon and the analysis canonicalizer sort the arguments of such
+// operations, and the plan compiler serves an immediate left operand
+// through the right-immediate kernel with the operands swapped.
+func Commutative(op Op) bool {
+	return int(op) < NumOps && opTable[op].commutative
+}
+
+// EvalOp applies an instruction opcode to its (up to two) argument
+// values, as Program.Eval and the plan kernels do. Constant folding
+// calls it (the plan compiler's, absint's, the simplifier's and
+// eqsat's), and internal/asm's tests check their x86 oracle against it.
+func EvalOp(op Op, a, b uint64) uint64 { return evalOp(op, a, b) }
 
 // IsInstruction reports whether op is a real instruction opcode rather
 // than a pseudo-op or the invalid sentinel.

@@ -330,7 +330,7 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 		return compiledOp{kern: fill, argA: -1, argB: -1, imm: prog.EvalOp(nd.Op, va, vb)}, true
 	case bok && ks.VI != nil:
 		return compiledOp{kern: ks.VI, argA: a, argB: -1, imm: vb}, true
-	case aok && commutative[nd.Op] && ks.VI != nil:
+	case aok && prog.Commutative(nd.Op) && ks.VI != nil:
 		return compiledOp{kern: ks.VI, argA: b, argB: -1, imm: va}, true
 	case aok && ks.IV != nil:
 		return compiledOp{kern: ks.IV, argA: -1, argB: b, imm: va}, true

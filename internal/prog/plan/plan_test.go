@@ -280,7 +280,7 @@ func TestBindingsAndRangesChecked(t *testing.T) {
 func TestCommutativeTable(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	for op := prog.Op(0); op < prog.Op(prog.NumOps); op++ {
-		if !commutative[op] {
+		if !prog.Commutative(op) {
 			continue
 		}
 		if op.Arity() != 2 {

@@ -143,23 +143,6 @@ func FormatConst(v uint64) string {
 	return fmt.Sprintf("%#x", v)
 }
 
-// Commutative reports whether the opcode's arguments may be reordered
-// without changing its value; Canon (and the analysis canonicalizer)
-// sort the arguments of such operations.
-func Commutative(op Op) bool { return commutative(op) }
-
-// commutative reports whether the opcode's arguments may be reordered
-// without changing its value; Canon sorts such arguments.
-func commutative(op Op) bool {
-	switch op {
-	case OpAdd, OpMul, OpAnd, OpOr, OpXor, OpEq,
-		OpAdd32, OpMul32, OpAnd32, OpOr32, OpXor32,
-		OpMAnd, OpMOr, OpMXor:
-		return true
-	}
-	return false
-}
-
 // Canon returns a canonical key for the program: the fully expanded
 // expression for the root with the arguments of commutative operations
 // sorted. Programs that differ only in node ordering, argument order
@@ -186,7 +169,7 @@ func (p *Program) Canon() string {
 			for a := range args {
 				args[a] = expand(nd.Args[a])
 			}
-			if commutative(nd.Op) {
+			if Commutative(nd.Op) {
 				sort.Strings(args)
 			}
 			s = nd.Op.String() + "(" + strings.Join(args, ", ") + ")"

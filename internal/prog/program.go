@@ -240,17 +240,10 @@ func (p *Program) TopoOrder() []int32 {
 // Eval evaluates the program on one input vector, writing every node's
 // value into vals (which must have length >= Len()) and returning the
 // root value. It performs no heap allocation once the topological
-// order is cached.
+// order is cached. Both buffers are checked up front, so a short one
+// fails loudly here instead of as an index panic mid-loop (or, worse,
+// silently when a longer backing array absorbs the write).
 func (p *Program) Eval(inputs []uint64, vals []uint64) uint64 {
-	return p.evalChecked(inputs, vals)
-}
-
-// evalChecked is the single shared evaluation body behind Program.Eval
-// and EvalInto: every non-engine evaluation, hot or fallback, goes
-// through the same explicit bounds validation so a short buffer fails
-// loudly at the seam instead of as an index panic mid-loop (or, worse,
-// silently when a longer backing array happens to absorb the write).
-func (p *Program) evalChecked(inputs, vals []uint64) uint64 {
 	if len(inputs) < p.NumInputs {
 		panic("prog: Eval input vector shorter than the program's input arity")
 	}
